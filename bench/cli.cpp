@@ -15,7 +15,7 @@ void usage(const char* prog, int exit_code) {
       stderr,
       "usage: %s [--threads N,N,..] [--smr NAME,..] [--ds NAME,..]\n"
       "          [--shards N,N,..] [--shard-hash splitmix|modulo]\n"
-      "          [--pct-put N,N,..] [--duration-ms N] [--json PATH]\n"
+      "          [--duration-ms N] [--json PATH]\n"
       "          [--latency] [--hw-counters] [--trace PATH]\n"
       "          [--host ADDR] [--port N] [--connections N] [--pipeline N]\n"
       "          [--net-workers N]\n"
@@ -135,9 +135,6 @@ CliOptions apply_bench_cli(int argc, char** argv) {
       seed_env("POPSMR_SHARD_HASH",
                checked_ident(flag_value(argc, argv, &i, "--shard-hash", prog),
                              "--shard-hash", prog, /*list_ok=*/false));
-    } else if (matches(arg, "--pct-put")) {
-      seed_env("POPSMR_BENCH_PCT_PUT",
-               flag_value(argc, argv, &i, "--pct-put", prog));
     } else if (matches(arg, "--duration-ms")) {
       seed_env("POPSMR_BENCH_DURATION_MS",
                flag_value(argc, argv, &i, "--duration-ms", prog));

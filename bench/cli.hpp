@@ -6,10 +6,9 @@
 //
 //   --threads 1,2,4        -> POPSMR_BENCH_THREADS
 //   --smr EBR,EpochPOP     -> POPSMR_BENCH_SMRS
-//   --ds HML,HMHT          -> POPSMR_BENCH_DS      (bench_scenarios)
-//   --shards 1,2,4,8       -> POPSMR_BENCH_SHARDS  (bench_sharded)
-//   --shard-hash modulo    -> POPSMR_SHARD_HASH    (bench_sharded)
-//   --pct-put 0,10,50,90   -> POPSMR_BENCH_PCT_PUT (bench_kv)
+//   --ds HML,HMHT          -> POPSMR_BENCH_DS
+//   --shards 1,2,4,8       -> POPSMR_BENCH_SHARDS
+//   --shard-hash modulo    -> POPSMR_SHARD_HASH
 //   --duration-ms 200      -> POPSMR_BENCH_DURATION_MS
 //   --json out.jsonl       -> POPSMR_BENCH_JSON
 //   --latency              -> POPSMR_OBS_LATENCY=1 (per-op histograms)
@@ -21,13 +20,13 @@
 //   --connections 4        -> POPSMR_BENCH_CONNECTIONS (loadgen)
 //   --pipeline 8           -> POPSMR_BENCH_PIPELINE    (loadgen batch depth)
 //   --net-workers 2        -> POPSMR_NET_WORKERS  (server epoll workers)
-//   --scenario NAME|all    scenario selection       (bench_scenarios)
+//   --scenario NAME|all    scenario or preset selection
 //   --short                smoke mode: small key range, ~50 ms phases
 //   --list                 list named scenarios and exit
 //   --help                 usage and exit
 //
-// Unknown flags print usage and exit(2); figure binaries simply ignore
-// the fields they don't consume. Identifier-valued flags (--scenario,
+// Unknown flags print usage and exit(2); binaries simply ignore the
+// fields they don't consume. Identifier-valued flags (--scenario,
 // --ds, --smr/--smrs, --shard-hash) are validated at parse time: names
 // must match [A-Za-z0-9_-] (',' also allowed in list flags); anything
 // else is diagnosed on one stderr line and rejected with exit(2) before

@@ -6,87 +6,12 @@
 #include <cstdlib>
 #include <sstream>
 
-#include "obs/obs.hpp"
+#include "ds/iset.hpp"
 #include "runtime/env.hpp"
-#include "workload/jsonl.hpp"
-#include "workload/scenario_engine.hpp"
 
 namespace pop::bench {
 
-// The legacy single-phase entry point, now a thin adapter: WorkloadConfig
-// maps onto a one-phase ScenarioSpec and the scenario engine runs it (one
-// worker-loop implementation for figures, scenarios, and tests alike).
-// Invalid configs (prefill > key_range, op mix over 100%) are clamped by
-// workload::normalize with a clear stderr message instead of silently
-// wrapping as they used to.
-WorkloadResult run_workload(const WorkloadConfig& cfg) {
-  workload::ScenarioSpec spec;
-  spec.name = "workload";
-  spec.ds = cfg.ds;
-  spec.smr = cfg.smr;
-  spec.threads = cfg.threads;
-  spec.key_range = cfg.key_range;
-  spec.prefill = cfg.prefill;
-  spec.load_factor = cfg.load_factor;
-  spec.smr_cfg = cfg.smr_cfg;
-  workload::PhaseSpec phase;
-  phase.name = "main";
-  phase.duration_ms = cfg.duration_ms;
-  static_cast<workload::OpMix&>(phase) = cfg;  // the shared mix, wholesale
-  phase.split_readers_writers = cfg.split_readers_writers;
-  phase.writer_key_range = cfg.writer_key_range;
-  spec.phases.push_back(phase);
-
-  const auto r = workload::run_scenario(spec);
-
-  WorkloadResult out;
-  static_cast<workload::OpCounts&>(out) = r;  // the shared counters
-  out.mops = r.mops;
-  out.read_mops = r.read_mops;
-  out.seconds = r.seconds;
-  out.smr = r.smr;
-  out.vm_hwm_kib = r.vm_hwm_kib;
-  out.final_size = r.final_size;
-  out.latency_all = r.latency_all;
-  return out;
-}
-
-void print_table_header(const std::string& title) {
-  std::printf("\n# %s\n", title.c_str());
-  std::printf("%-5s %-13s %3s %8s %9s %9s %10s %11s %9s %8s %11s\n", "ds",
-              "smr", "thr", "Mops", "readMops", "maxRetire", "unreclaimed",
-              "VmHWM(KiB)", "signals", "pings", "neutralized");
-  std::fflush(stdout);
-}
-
 namespace {
-
-// POPSMR_BENCH_JSON=<path>: append one JSON object (JSON Lines) per
-// printed cell, so figure runs also produce a machine-readable
-// BENCH_*.json for the perf trajectory.
-void append_json_row(const WorkloadConfig& cfg, const WorkloadResult& r) {
-  static const std::string path = runtime::env_str("POPSMR_BENCH_JSON", "");
-  if (path.empty()) return;
-  std::FILE* f = std::fopen(path.c_str(), "a");
-  if (f == nullptr) return;
-  // Legacy (kind-less) row shape, now stamped with run_id/ts and carrying
-  // the lat_* percentile block (zero-filled when --latency is off) so
-  // concatenated multi-run artifacts stay disambiguable.
-  std::fprintf(f, "{\"run_id\":%llu,\"ts\":%llu,",
-               static_cast<unsigned long long>(obs::run_id()),
-               static_cast<unsigned long long>(obs::wall_ts_ms()));
-  workload::emit_latency_fields(f, r.latency_all);
-  std::fprintf(
-      f,
-      "\"ds\":\"%s\",\"smr\":\"%s\",\"threads\":%d,\"mops\":%.6f,"
-      "\"read_mops\":%.6f,\"vm_hwm_kib\":%llu,\"freed\":%llu,"
-      "\"signals_sent\":%llu}\n",
-      cfg.ds.c_str(), cfg.smr.c_str(), cfg.threads, r.mops, r.read_mops,
-      static_cast<unsigned long long>(r.vm_hwm_kib),
-      static_cast<unsigned long long>(r.smr.freed),
-      static_cast<unsigned long long>(r.smr.signals_sent));
-  std::fclose(f);
-}
 
 std::vector<std::string> split_csv(const std::string& raw) {
   std::vector<std::string> out;
@@ -99,13 +24,14 @@ std::vector<std::string> split_csv(const std::string& raw) {
 }
 
 // The one parser behind every POPSMR_BENCH_* integer-list knob. Tokens
-// without a number (after optional whitespace and sign) are dropped;
-// values outside [lo, hi] are clamped into range when `clamp` is set and
-// dropped otherwise. An empty result falls back to `def`.
+// without a number (after optional whitespace and sign) and values
+// outside [lo, hi] are dropped. An empty value yields an empty list; a
+// non-empty one that leaves nothing falls back to `def`.
 std::vector<int> env_int_list(const char* var, const std::string& fallback,
-                              int lo, int hi, bool clamp, int def) {
+                              int lo, int hi, int def) {
   const std::string raw = runtime::env_str(var, fallback);
   std::vector<int> out;
+  if (raw.empty()) return out;
   for (const auto& tok : split_csv(raw)) {
     const std::size_t i = tok.find_first_not_of(" \t");
     if (i == std::string::npos) continue;
@@ -119,14 +45,7 @@ std::vector<int> env_int_list(const char* var, const std::string& fallback,
     long v = std::strtol(tok.c_str() + i, nullptr, 10);
     if (v > INT_MAX) v = INT_MAX;
     if (v < INT_MIN) v = INT_MIN;
-    if (v < lo) {
-      if (!clamp) continue;
-      v = lo;
-    }
-    if (v > hi) {
-      if (!clamp) continue;
-      v = hi;
-    }
+    if (v < lo || v > hi) continue;
     out.push_back(static_cast<int>(v));
   }
   if (out.empty()) out.push_back(def);
@@ -135,23 +54,9 @@ std::vector<int> env_int_list(const char* var, const std::string& fallback,
 
 }  // namespace
 
-void print_row(const WorkloadConfig& cfg, const WorkloadResult& r) {
-  append_json_row(cfg, r);
-  std::printf(
-      "%-5s %-13s %3d %8.3f %9.3f %9llu %10llu %11llu %9llu %8llu %11llu\n",
-      cfg.ds.c_str(), cfg.smr.c_str(), cfg.threads, r.mops, r.read_mops,
-      static_cast<unsigned long long>(r.smr.max_retire_len),
-      static_cast<unsigned long long>(r.smr.unreclaimed()),
-      static_cast<unsigned long long>(r.vm_hwm_kib),
-      static_cast<unsigned long long>(r.smr.signals_sent),
-      static_cast<unsigned long long>(r.smr.pings_received),
-      static_cast<unsigned long long>(r.smr.neutralized));
-  std::fflush(stdout);
-}
-
 std::vector<int> bench_thread_list(const std::string& fallback) {
   return env_int_list("POPSMR_BENCH_THREADS", fallback, 1, INT_MAX,
-                      /*clamp=*/false, /*def=*/2);
+                      /*def=*/2);
 }
 
 std::vector<std::string> bench_smr_list() {
@@ -161,22 +66,12 @@ std::vector<std::string> bench_smr_list() {
 }
 
 std::vector<std::string> bench_ds_list(const std::string& fallback) {
-  const std::string raw = runtime::env_str("POPSMR_BENCH_DS", fallback);
-  auto out = split_csv(raw);
-  if (out.empty()) out.push_back("HML");
-  return out;
+  return split_csv(runtime::env_str("POPSMR_BENCH_DS", fallback));
 }
 
 std::vector<int> bench_shard_list(const std::string& fallback) {
   return env_int_list("POPSMR_BENCH_SHARDS", fallback, 1, INT_MAX,
-                      /*clamp=*/false, /*def=*/1);
-}
-
-std::vector<int> bench_pct_put_list(const std::string& fallback) {
-  // Clamped rather than dropped: 0 is a legitimate sweep point and an
-  // out-of-range ratio still names a nearest meaningful cell.
-  return env_int_list("POPSMR_BENCH_PCT_PUT", fallback, 0, 100,
-                      /*clamp=*/true, /*def=*/50);
+                      /*def=*/1);
 }
 
 uint64_t bench_duration_ms(uint64_t fallback) {

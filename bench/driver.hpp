@@ -1,101 +1,36 @@
-// Benchmark driver: re-implementation of the NBR(+) benchmark methodology
-// the paper uses (§5.0.2): prefill the structure to half its key range,
-// then run a timed phase of randomly chosen insert/delete/contains
-// operations with uniformly random keys, reporting throughput and memory
-// metrics per (data structure, scheme, thread count) cell.
-//
-// run_workload is a thin wrapper over the scenario engine in
-// src/workload/ (a WorkloadConfig is a one-phase ScenarioSpec): the
-// engine owns the worker loop, and also runs the skewed / phased /
-// churning / stalling workloads bench_scenarios sweeps — see
-// workload/scenario.hpp for the axes and workload/scenarios.hpp for the
-// named matrix. bench/cli.hpp layers shared --flags over the
-// POPSMR_BENCH_* environment knobs listed at the bottom of this header.
-#pragma once
-
-#include <cstdint>
-#include <string>
-
-#include "ds/iset.hpp"
-#include "obs/latency_histo.hpp"
-#include "smr/smr_config.hpp"
-#include "workload/op_mix.hpp"
-
-namespace pop::bench {
-
-// The op mix (pct_insert / pct_erase / pct_put, remainder get) is the
-// shared workload::OpMix base — the same vocabulary PhaseSpec uses, so
-// the driver and the scenario engine cannot drift apart again.
-struct WorkloadConfig : workload::OpMix {
-  std::string ds = "HML";
-  std::string smr = "NR";
-  int threads = 2;
-  uint64_t key_range = 2048;
-  // Keys prefilled before the timed phase (default: key_range / 2).
-  uint64_t prefill = UINT64_MAX;
-  uint64_t duration_ms = 200;
-  double load_factor = 6.0;  // hash table only
-  smr::SmrConfig smr_cfg;
-
-  // Long-running-reads mode (Figure 4): half the threads only run
-  // contains() over the full key range; the other half update keys near
-  // the head of the structure, in [0, writer_key_range).
-  bool split_readers_writers = false;
-  uint64_t writer_key_range = 64;
-};
-
-// Per-op counters (ops/reads/updates + the KV breakdown) come from the
-// shared workload::OpCounts base; `ops` is the old ops_total.
-struct WorkloadResult : workload::OpCounts {
-  double mops = 0;        // total million ops/second
-  double read_mops = 0;   // get()/contains() throughput only
-  double seconds = 0;
-  smr::StatsSnapshot smr;
-  uint64_t vm_hwm_kib = 0;
-  uint64_t final_size = 0;
-  // Merged point-op latency percentiles (count == 0 unless the latency
-  // channel was on: POPSMR_OBS_LATENCY / --latency).
-  obs::LatencySummary latency_all;
-};
-
-// Builds the set, prefills, runs the timed phase, joins, snapshots stats.
-WorkloadResult run_workload(const WorkloadConfig& cfg);
-
-// ---- table printing -------------------------------------------------------
-
-// Prints "# <title>" followed by the standard column header.
-void print_table_header(const std::string& title);
-
-// Prints one row for `cfg`/`r` in the standard column layout.
-void print_row(const WorkloadConfig& cfg, const WorkloadResult& r);
-
-// Shared environment knobs (every figure binary honours these; the
-// bench/cli.hpp flags seed them only when unset, so exported env wins):
-//   POPSMR_BENCH_DURATION_MS  per-cell duration    (default per figure)
+// Shared POPSMR_BENCH_* knob readers for the bench binaries. The in-process
+// benchmark is bench_scenarios: every paper figure and ablation is a
+// preset in src/workload/scenarios.cpp that expands to ScenarioSpec cells
+// the scenario engine runs, and src/workload/jsonl.hpp writes their rows.
+// bench/cli.hpp layers --flags over these knobs (an exported var wins):
+//   POPSMR_BENCH_DURATION_MS  per-phase duration of a preset's cells
 //   POPSMR_BENCH_THREADS      comma list, e.g. "1,2,4"
 //   POPSMR_BENCH_SMRS         comma list of scheme names
-//   POPSMR_BENCH_DS           comma list of data structures (bench_scenarios)
-//   POPSMR_BENCH_PCT_PUT      comma list of put ratios (bench_kv)
-//   POPSMR_BENCH_JSON         path; print_row also appends one JSON object
-//                             per cell (JSON Lines: run_id, ts, ds, smr,
-//                             threads, mops, read_mops, vm_hwm_kib, freed,
-//                             signals_sent, lat_* percentiles) — the
-//                             BENCH_*.json perf-trajectory rail.
-//                             bench_scenarios appends kind-tagged phase and
-//                             mem_sample rows to the same file
+//   POPSMR_BENCH_DS           comma list of data structures
+//   POPSMR_BENCH_SHARDS       comma list of shard counts
+//   POPSMR_SHARD_HASH         splitmix | modulo
+//   POPSMR_BENCH_JSON         path; every cell appends its JSON Lines rows
+//                             (the BENCH_*.json perf-trajectory rail)
 //   POPSMR_OBS_LATENCY        1 = record per-op latency histograms (--latency)
 //   POPSMR_OBS_HW             1 = per-phase perf counters (--hw-counters)
 //   POPSMR_TRACE              path; arm the event tracer and dump a Chrome
 //                             trace-event JSON at exit (--trace PATH)
 //   POPSMR_TRACE_RING         per-thread ring capacity in events (def. 8192)
+#pragma once
+
+#include <cstdint>
+#include <string>
+#include <vector>
+
+namespace pop::bench {
+
+// The list knobs return `fallback` parsed when the variable is unset; an
+// empty fallback then yields an empty list ("the sweep's own default").
 std::vector<int> bench_thread_list(const std::string& fallback);
+// Every scheme when POPSMR_BENCH_SMRS is unset.
 std::vector<std::string> bench_smr_list();
 std::vector<std::string> bench_ds_list(const std::string& fallback);
-// POPSMR_BENCH_SHARDS comma list (bench_sharded's sweep axis).
 std::vector<int> bench_shard_list(const std::string& fallback);
-// POPSMR_BENCH_PCT_PUT comma list of put ratios (bench_kv's sweep axis);
-// values are clamped to [0, 100].
-std::vector<int> bench_pct_put_list(const std::string& fallback);
 uint64_t bench_duration_ms(uint64_t fallback);
 
 // ---- networked front-end knobs (bench_loadgen / popsmr_server) ------------

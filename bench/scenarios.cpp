@@ -1,18 +1,24 @@
-// bench_scenarios: runs the named scenario matrix — skewed, phased,
-// churning, and stalling workloads — per (ds, smr, threads) cell and
-// reports per-phase throughput plus the robustness trajectory (peak vs
-// recovered unreclaimed memory around an injected stall).
+// bench_scenarios: the in-process benchmark. Runs a named scenario —
+// skewed, phased, churning, stalling, sharded or faulty workloads — or a
+// preset: the paper's figures and ablations and the kv put-ratio, resize
+// deficit and crash-fault sweeps (src/workload/scenarios.cpp holds them
+// as data). Each cell prints one line per phase and, with
+// POPSMR_BENCH_JSON (or --json) set, appends its kind-tagged JSON Lines:
+// one "scenario" summary, one "phase" row per phase, one "mem_sample" row
+// per timeline point, plus "latency" and "shard" rows when recorded.
 //
 //   bench_scenarios --list
-//   bench_scenarios --scenario stall-recovery --ds HML
-//       --smr EBR,EpochPOP --threads 4
-//   bench_scenarios --scenario all --short        # CI smoke matrix
+//   bench_scenarios --scenario fig2 --smr EBR,EpochPOP --threads 2
+//   bench_scenarios --scenario stall-recovery --ds HML --threads 4
+//   bench_scenarios --scenario sharded-uniform --shards 1,2,4,8 --threads 8
+//   bench_scenarios --scenario all --short        # every named scenario
 //
-// With POPSMR_BENCH_JSON (or --json) set, every cell appends kind-tagged
-// JSON Lines: one "scenario" summary, one "phase" row per phase, and one
-// "mem_sample" row per timeline point — enough to plot unreclaimed
-// memory over time across the park/resume window.
+// --ds/--smr/--threads/--shards/--shard-hash/--duration-ms override the
+// sweep's own lists (SweepAxes in workload/scenarios.hpp); --short runs
+// quarter-length phases over key ranges capped at 512.
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -29,24 +35,36 @@ using namespace pop;
 using namespace pop::bench;
 using namespace pop::workload;
 
-void print_scenario_header(const std::string& scenario) {
-  std::printf("\n# scenario %s: %s\n", scenario.c_str(),
-              scenario_description(scenario).c_str());
-  std::printf("%-5s %-13s %3s %-12s %8s %9s %10s %11s %9s %8s\n", "ds",
-              "smr", "thr", "phase", "Mops", "readMops", "unreclaimed",
-              "maxRetire", "signals", "churn");
+void print_header(const std::string& name) {
+  std::printf("\n# %s: %s\n", name.c_str(), scenario_description(name).c_str());
+  std::printf("%-5s %7s %3s %6s %-13s %-12s %-12s %8s %9s %11s %9s %9s "
+              "%11s %10s %7s\n",
+              "ds", "keys", "thr", "shards", "smr", "rt/C/ef", "phase",
+              "Mops", "readMops", "unreclaimed", "maxRetire", "signals",
+              "neutralized", "VmHWM(KiB)", "ref%");
   std::fflush(stdout);
 }
 
-void print_cell(const ScenarioSpec& spec, const ScenarioResult& r) {
+void print_cell(const ScenarioSpec& spec, const ScenarioResult& r,
+                double recovery_pct) {
+  const std::string cfg = std::to_string(spec.smr_cfg.retire_threshold) +
+                          "/" + std::to_string(spec.smr_cfg.pop_multiplier) +
+                          "/" + std::to_string(spec.smr_cfg.epoch_freq);
+  // recovery_pct compares last phases, so only the last line carries it.
   for (const auto& p : r.phases) {
-    std::printf("%-5s %-13s %3d %-12s %8.3f %9.3f %10llu %11llu %9llu %8llu\n",
-                spec.ds.c_str(), spec.smr.c_str(), p.threads, p.name.c_str(),
+    const bool last = &p == &r.phases.back();
+    std::printf("%-5s %7llu %3d %6d %-13s %-12s %-12s %8.3f %9.3f %11llu "
+                "%9llu %9llu %11llu %10llu %7.1f\n",
+                spec.ds.c_str(),
+                static_cast<unsigned long long>(spec.key_range), p.threads,
+                spec.shards, spec.smr.c_str(), cfg.c_str(), p.name.c_str(),
                 p.mops, p.read_mops,
                 static_cast<unsigned long long>(p.unreclaimed_end),
                 static_cast<unsigned long long>(p.smr_delta.max_retire_len),
                 static_cast<unsigned long long>(p.smr_delta.signals_sent),
-                static_cast<unsigned long long>(r.churn_cycles));
+                static_cast<unsigned long long>(p.smr_delta.neutralized),
+                static_cast<unsigned long long>(r.vm_hwm_kib),
+                last ? recovery_pct : 0.0);
   }
   if (spec.stall.enabled) {
     std::printf("      %-13s stall: baseline %llu -> peak %llu -> final %llu "
@@ -58,6 +76,20 @@ void print_cell(const ScenarioSpec& spec, const ScenarioResult& r) {
                 static_cast<unsigned long long>(r.stall_parked_at_ms),
                 static_cast<unsigned long long>(r.stall_resumed_at_ms),
                 r.samples.size());
+  }
+  if (std::strcmp(fault_name(spec), "none") != 0) {
+    std::printf("      %-13s fault %s: kills %llu reaped %llu adopted %llu "
+                "wavesTO %llu suppressed %llu pressure %llu forced %llu "
+                "recovered@%llu ms\n",
+                spec.smr.c_str(), fault_name(spec),
+                static_cast<unsigned long long>(r.kills),
+                static_cast<unsigned long long>(r.smr.tids_reaped),
+                static_cast<unsigned long long>(r.smr.orphans_adopted),
+                static_cast<unsigned long long>(r.smr.waves_timed_out),
+                static_cast<unsigned long long>(r.signals_suppressed),
+                static_cast<unsigned long long>(r.smr.pressure_events),
+                static_cast<unsigned long long>(r.smr.forced_handshakes),
+                static_cast<unsigned long long>(r.recovered_at_ms));
   }
   // Per-kind latency percentiles when --latency / POPSMR_OBS_LATENCY
   // recorded anything (reclamation kinds included).
@@ -77,51 +109,56 @@ int main(int argc, char** argv) {
   const CliOptions cli = apply_bench_cli(argc, argv);
 
   if (cli.list) {
-    for (const auto& name : scenario_names()) {
-      std::printf("%-22s %s\n", name.c_str(),
-                  scenario_description(name).c_str());
+    for (const auto* names : {&scenario_names(), &preset_names()}) {
+      for (const auto& name : *names) {
+        std::printf("%-26s %s\n", name.c_str(),
+                    scenario_description(name).c_str());
+      }
     }
     return 0;
   }
+
+  SweepAxes axes;
+  axes.ds = bench_ds_list("");
+  if (!runtime::env_str("POPSMR_BENCH_SMRS", "").empty()) {
+    axes.smrs = bench_smr_list();
+  }
+  axes.threads = bench_thread_list("");
+  axes.shards = bench_shard_list("");
+  axes.shard_hash = runtime::env_str("POPSMR_SHARD_HASH", "");
+  axes.duration_ms = bench_duration_ms(0);
+  axes.short_mode = cli.short_mode;
 
   std::vector<std::string> selected;
   if (cli.scenario.empty() || cli.scenario == "all") {
     selected = scenario_names();
   } else {
-    if (!make_scenario(cli.scenario, {})) {
-      std::fprintf(stderr, "unknown scenario '%s' (try --list)\n",
-                   cli.scenario.c_str());
-      return 2;
-    }
     selected.push_back(cli.scenario);
   }
-
-  const auto ds_list = bench_ds_list("HML");
-  const auto smrs = bench_smr_list();
-  const auto threads = bench_thread_list("4");
   const std::string json = runtime::env_str("POPSMR_BENCH_JSON", "");
-
-  for (const auto& scenario : selected) {
-    print_scenario_header(scenario);
-    for (const auto& ds : ds_list) {
-      for (int t : threads) {
-        for (const auto& smr : smrs) {
-          ScenarioBuild b;
-          b.ds = ds;
-          b.smr = smr;
-          b.threads = t;
-          if (cli.short_mode) {
-            // ~50 ms phases over a small universe: the CI smoke matrix.
-            b.time_scale = 0.25;
-            b.key_range = 512;
-          }
-          auto spec = make_scenario(scenario, b);
-          const auto r = run_scenario(*spec);
-          print_cell(*spec, r);
-          emit_scenario_jsonl(json, *spec, r);
-        }
+  for (const auto& name : selected) {
+    const auto sweep = make_sweep(name, axes);
+    if (!sweep) {
+      std::fprintf(stderr, "unknown scenario '%s' (try --list)\n",
+                   name.c_str());
+      return 2;
+    }
+    // A lost ping wave must expire inside the bench window: the watchdog
+    // deadline has to undercut the --short stall window (~60 ms) or the
+    // victim resumes before it fires and the cell measures nothing. An
+    // exported value still wins, and healthy waves are unaffected (the
+    // deadline arms lazily at the first escalation).
+    for (const auto& cell : sweep->cells) {
+      if (cell.spec.faults.signal_loss) {
+        setenv("POPSMR_PING_TIMEOUT_MS", "20", /*overwrite=*/0);
       }
     }
+    print_header(name);
+    run_sweep(*sweep, [&](const ScenarioSpec& spec, const ScenarioResult& r,
+                          double recovery_pct) {
+      print_cell(spec, r, recovery_pct);
+      emit_scenario_jsonl(json, spec, r, recovery_pct);
+    });
   }
   return 0;
 }

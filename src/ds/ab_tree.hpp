@@ -1,6 +1,6 @@
 // ABT — (a,b)-tree with copy-on-write leaves and preemptive splits,
-// standing in for Brown's LLX/SCX (a,b)-tree (Figures 1c, 3a, 5; see
-// DESIGN.md §5 for the substitution rationale).
+// standing in for Brown's LLX/SCX (a,b)-tree (Figures 1c, 3a, 5), whose
+// descriptor-based multi-word primitive this library does not carry.
 //
 // What the SMR evaluation needs from this tree is preserved exactly:
 // every successful update retires at least one node (the replaced leaf),

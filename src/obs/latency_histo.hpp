@@ -55,6 +55,13 @@ inline uint64_t histo_bucket_value(uint32_t idx) {
   return base + (uint64_t{1} << (shift - 1));  // midpoint of [base, base+2^shift)
 }
 
+// Largest value an index holds (the inclusive top of its bucket).
+inline uint64_t histo_bucket_upper(uint32_t idx) {
+  const uint64_t mid = histo_bucket_value(idx);
+  const uint32_t seg = idx >> kHistoSubBits;
+  return seg <= 1 ? mid : mid + (uint64_t{1} << (seg - 2)) - 1;
+}
+
 struct LatencySummary {
   uint64_t count = 0;
   double p50_us = 0, p90_us = 0, p99_us = 0, p999_us = 0, max_us = 0;
@@ -79,16 +86,18 @@ struct HistoSnapshot {
   }
 
   // Counts since `earlier` (which must be an older snapshot of the same
-  // histogram set). max_ns stays the later high-watermark — the same
-  // semantics the SMR rail uses for max_retire_len.
+  // histogram set). max_ns is the window's own max: the top of its
+  // highest non-empty bucket (within the 1/64 bucket error), clamped to
+  // the later high-watermark — so an outlier before `earlier` does not
+  // leak into every later window.
   HistoSnapshot diff(const HistoSnapshot& earlier) const {
     HistoSnapshot d;
     for (uint32_t i = 0; i < kHistoBuckets; ++i) {
       const uint64_t a = counts[i], b = earlier.counts[i];
       d.counts[i] = a >= b ? a - b : 0;
       d.total += d.counts[i];
+      if (d.counts[i] != 0) d.max_ns = std::min(histo_bucket_upper(i), max_ns);
     }
-    d.max_ns = max_ns;
     return d;
   }
 

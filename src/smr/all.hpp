@@ -8,7 +8,7 @@
 #include "smr/he.hpp"              // HE              (paper Alg. 4)
 #include "smr/hp.hpp"              // HP
 #include "smr/hp_asym.hpp"         // HPAsym (Folly-style)
-#include "smr/hyaline.hpp"         // BRC (Crystalline substitute)
+#include "smr/brc.hpp"             // BRC (Crystalline substitute)
 #include "smr/ibr.hpp"             // IBR (2GE)
 #include "smr/nbr.hpp"             // NBR+
 #include "smr/nr.hpp"              // NR (leaky)

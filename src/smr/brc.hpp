@@ -1,5 +1,6 @@
 // BRC — batched reference-counted reclamation, the repo's stand-in for
-// Crystalline (appendix Figures 10-11; see DESIGN.md §5).
+// Crystalline (appendix Figures 10-11; the fig10-11 preset in
+// src/workload/scenarios.cpp states why the comparison survives the swap).
 //
 // Crystalline/Hyaline free a retired batch when the last reader that
 // could reference it departs, using distributed reference counts instead

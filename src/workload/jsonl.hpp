@@ -1,18 +1,17 @@
-// JSON Lines emission for scenario runs: one "scenario" summary row, one
-// "phase" row per phase, one "mem_sample" row per timeline point, all
-// appended to the same file the figure binaries write their per-cell rows
-// to (POPSMR_BENCH_JSON) — a `kind` field keeps the streams separable.
-// Values are numbers and [A-Za-z0-9_-] identifiers only, so no string
-// escaping is needed.
+// JSON Lines emission for scenario runs — the one in-process row writer:
+// one "scenario" summary row per cell, one "phase" row per phase, one
+// "mem_sample" row per timeline point, one "latency" row per recorded op
+// kind and one "shard" row per shard, all appended to POPSMR_BENCH_JSON —
+// a `kind` field keeps the streams separable. Values are numbers and
+// [A-Za-z0-9_-] identifiers only, so no string escaping is needed.
 //
 // Every row leads with the same stamp: `run_id` (process-wide, wall-clock
 // ns at first use — monotonic across successive runs) and `ts` (per-row
 // wall-clock ms), so concatenated multi-run CI artifacts stay
-// disambiguable. Scenario/phase/kv/fault rows additionally carry the
-// latency percentile columns (zero-filled when the latency channel was
-// off) and the hardware-counter columns (hw_valid=0 when perf_event_open
-// was refused); kind-tagged "latency" rows break the percentiles out per
-// op when the channel recorded anything.
+// disambiguable. Scenario/phase rows additionally carry the latency
+// percentile columns (zero-filled when the latency channel was off) and
+// the hardware-counter columns (hw_valid=0 when perf_event_open was
+// refused).
 #pragma once
 
 #include <cstdio>
@@ -118,15 +117,32 @@ inline void emit_audit_fields(std::FILE* f, const ScenarioResult& r) {
                static_cast<unsigned long long>(r.audit_violations));
 }
 
+// The fault a cell injects, as the scenario row's `fault` column.
+inline const char* fault_name(const ScenarioSpec& spec) {
+  if (spec.faults.signal_loss) return "signal-loss";
+  if (spec.faults.thread_kill) return "thread-kill";
+  if (spec.smr_cfg.pressure_bound > 0) return "pressure";
+  return "none";
+}
+
+// recovery_pct: the cell's metric as a percentage of its reference cell's
+// (run_sweep computes it; 0 when the sweep has no reference).
 inline void emit_scenario_jsonl(const std::string& path,
                                 const ScenarioSpec& spec,
-                                const ScenarioResult& r) {
+                                const ScenarioResult& r,
+                                double recovery_pct) {
   if (path.empty()) return;
   std::FILE* f = std::fopen(path.c_str(), "a");
   if (f == nullptr) return;
   const char* nm = spec.name.c_str();
   const char* ds = spec.ds.c_str();
   const char* smr = spec.smr.c_str();
+  const uint64_t capacity =
+      spec.initial_capacity > 0 ? spec.initial_capacity : spec.key_range;
+  const OpMix mix = spec.phases.empty()
+                        ? OpMix{}
+                        : static_cast<const OpMix&>(spec.phases[0]);
+  const auto u = [](uint64_t v) { return static_cast<unsigned long long>(v); };
 
   begin_row(f, "scenario");
   emit_audit_fields(f, r);
@@ -135,37 +151,45 @@ inline void emit_scenario_jsonl(const std::string& path,
   std::fprintf(
       f,
       "\"scenario\":\"%s\",\"ds\":\"%s\","
-      "\"smr\":\"%s\",\"threads\":%d,\"shards\":%d,\"seconds\":%.6f,"
-      "\"mops\":%.6f,"
-      "\"read_mops\":%.6f,\"retired\":%llu,\"freed\":%llu,"
+      "\"smr\":\"%s\",\"threads\":%d,\"shards\":%d,\"shard_hash\":\"%s\","
+      "\"key_range\":%llu,\"initial_capacity\":%llu,\"deficit\":%llu,"
+      "\"pct_insert\":%u,\"pct_erase\":%u,\"pct_put\":%u,"
+      "\"retire_threshold\":%llu,\"epoch_freq\":%llu,"
+      "\"pop_multiplier\":%llu,\"pressure_bound\":%llu,"
+      "\"seconds\":%.6f,\"mops\":%.6f,\"read_mops\":%.6f,"
+      "\"recovery_pct\":%.2f,\"retired\":%llu,\"freed\":%llu,"
       "\"signals_sent\":%llu,\"vm_hwm_kib\":%llu,\"churn_cycles\":%llu,"
       "\"baseline_unreclaimed\":%llu,\"stall_peak_unreclaimed\":%llu,"
       "\"final_unreclaimed\":%llu,\"stall_parked_at_ms\":%llu,"
-      "\"stall_resumed_at_ms\":%llu,\"grows\":%llu,\"shrinks\":%llu,"
-      "\"buckets_final\":%llu,\"gets\":%llu,\"get_hits\":%llu,"
+      "\"stall_resumed_at_ms\":%llu,\"fault\":\"%s\",\"kills\":%llu,"
+      "\"signals_suppressed\":%llu,\"first_kill_at_ms\":%llu,"
+      "\"recovered_at_ms\":%llu,\"waves_timed_out\":%llu,"
+      "\"tids_reaped\":%llu,\"orphans_adopted\":%llu,"
+      "\"pressure_events\":%llu,\"forced_handshakes\":%llu,"
+      "\"grows\":%llu,\"shrinks\":%llu,\"buckets_final\":%llu,"
+      "\"pool_live_blocks\":%llu,\"shard_ops_max\":%llu,"
+      "\"shard_ops_min\":%llu,\"gets\":%llu,\"get_hits\":%llu,"
       "\"inserts\":%llu,\"erases\":%llu,\"puts\":%llu,"
       "\"put_replaced\":%llu,\"rw_violations\":%llu}\n",
-      nm, ds, smr, spec.threads, spec.shards, r.seconds, r.mops, r.read_mops,
-      static_cast<unsigned long long>(r.smr.retired),
-      static_cast<unsigned long long>(r.smr.freed),
-      static_cast<unsigned long long>(r.smr.signals_sent),
-      static_cast<unsigned long long>(r.vm_hwm_kib),
-      static_cast<unsigned long long>(r.churn_cycles),
-      static_cast<unsigned long long>(r.baseline_unreclaimed),
-      static_cast<unsigned long long>(r.stall_peak_unreclaimed),
-      static_cast<unsigned long long>(r.final_unreclaimed),
-      static_cast<unsigned long long>(r.stall_parked_at_ms),
-      static_cast<unsigned long long>(r.stall_resumed_at_ms),
-      static_cast<unsigned long long>(r.grows),
-      static_cast<unsigned long long>(r.shrinks),
-      static_cast<unsigned long long>(r.buckets_final),
-      static_cast<unsigned long long>(r.gets),
-      static_cast<unsigned long long>(r.get_hits),
-      static_cast<unsigned long long>(r.inserts),
-      static_cast<unsigned long long>(r.erases),
-      static_cast<unsigned long long>(r.puts),
-      static_cast<unsigned long long>(r.put_replaced),
-      static_cast<unsigned long long>(r.rw_violations));
+      nm, ds, smr, spec.threads, spec.shards, spec.shard_hash.c_str(),
+      u(spec.key_range), u(capacity),
+      u(capacity > 0 ? spec.key_range / capacity : 1),
+      mix.pct_insert, mix.pct_erase, mix.pct_put,
+      u(spec.smr_cfg.retire_threshold), u(spec.smr_cfg.epoch_freq),
+      u(spec.smr_cfg.pop_multiplier), u(spec.smr_cfg.pressure_bound),
+      r.seconds, r.mops, r.read_mops, recovery_pct, u(r.smr.retired),
+      u(r.smr.freed), u(r.smr.signals_sent), u(r.vm_hwm_kib),
+      u(r.churn_cycles), u(r.baseline_unreclaimed),
+      u(r.stall_peak_unreclaimed), u(r.final_unreclaimed),
+      u(r.stall_parked_at_ms), u(r.stall_resumed_at_ms), fault_name(spec),
+      u(r.kills), u(r.signals_suppressed), u(r.first_kill_at_ms),
+      u(r.recovered_at_ms), u(r.smr.waves_timed_out), u(r.smr.tids_reaped),
+      u(r.smr.orphans_adopted), u(r.smr.pressure_events),
+      u(r.smr.forced_handshakes), u(r.grows), u(r.shrinks),
+      u(r.buckets_final), u(r.service.pool_live_blocks),
+      u(r.service.ops_max_shard()), u(r.service.ops_min_shard()), u(r.gets),
+      u(r.get_hits), u(r.inserts), u(r.erases), u(r.puts),
+      u(r.put_replaced), u(r.rw_violations));
 
   for (size_t i = 0; i < r.phases.size(); ++i) {
     const PhaseResult& p = r.phases[i];
@@ -224,193 +248,6 @@ inline void emit_scenario_jsonl(const std::string& path,
   }
 
   emit_latency_rows(f, spec, r);
-  emit_shard_rows(f, spec, r);
-  std::fclose(f);
-}
-
-// One "kv" summary row per bench_kv cell: the cell identity (including
-// the put ratio being swept), throughput, the per-op outcome breakdown,
-// and the leak-balance signals (final_unreclaimed; per-shard rows follow
-// when the cell ran sharded).
-inline void emit_kv_jsonl(const std::string& path, const ScenarioSpec& spec,
-                          uint32_t pct_put, const ScenarioResult& r) {
-  if (path.empty()) return;
-  std::FILE* f = std::fopen(path.c_str(), "a");
-  if (f == nullptr) return;
-  begin_row(f, "kv");
-  emit_latency_fields(f, r.latency_all);
-  std::fprintf(
-      f,
-      "\"scenario\":\"%s\",\"ds\":\"%s\",\"smr\":\"%s\","
-      "\"threads\":%d,\"shards\":%d,\"pct_put\":%u,\"seconds\":%.6f,"
-      "\"mops\":%.6f,\"read_mops\":%.6f,\"gets\":%llu,\"get_hits\":%llu,"
-      "\"inserts\":%llu,\"erases\":%llu,\"puts\":%llu,\"put_replaced\":%llu,"
-      "\"rw_violations\":%llu,\"retired\":%llu,\"freed\":%llu,"
-      "\"signals_sent\":%llu,\"final_unreclaimed\":%llu,"
-      "\"vm_hwm_kib\":%llu}\n",
-      spec.name.c_str(), spec.ds.c_str(), spec.smr.c_str(), spec.threads,
-      spec.shards, pct_put, r.seconds, r.mops, r.read_mops,
-      static_cast<unsigned long long>(r.gets),
-      static_cast<unsigned long long>(r.get_hits),
-      static_cast<unsigned long long>(r.inserts),
-      static_cast<unsigned long long>(r.erases),
-      static_cast<unsigned long long>(r.puts),
-      static_cast<unsigned long long>(r.put_replaced),
-      static_cast<unsigned long long>(r.rw_violations),
-      static_cast<unsigned long long>(r.smr.retired),
-      static_cast<unsigned long long>(r.smr.freed),
-      static_cast<unsigned long long>(r.smr.signals_sent),
-      static_cast<unsigned long long>(r.final_unreclaimed),
-      static_cast<unsigned long long>(r.vm_hwm_kib));
-  emit_latency_rows(f, spec, r);
-  emit_shard_rows(f, spec, r);
-  std::fclose(f);
-}
-
-/// One "resize" row per bench_resize cell: the provisioning deficit being
-// swept (key_range / initial_capacity), the resize activity it forced,
-// and the grow-storm vs post-storm steady throughput split. recovery_pct
-// is steady throughput as a percentage of the correctly-provisioned
-// fixed-table reference in the same (smr, threads) cell — the acceptance
-// signal that an under-provisioned resizable table grows its way back.
-inline void emit_resize_jsonl(const std::string& path,
-                              const ScenarioSpec& spec, uint64_t deficit,
-                              double storm_mops, double steady_mops,
-                              double recovery_pct, const ScenarioResult& r) {
-  if (path.empty()) return;
-  std::FILE* f = std::fopen(path.c_str(), "a");
-  if (f == nullptr) return;
-  begin_row(f, "resize");
-  std::fprintf(
-      f,
-      "\"scenario\":\"%s\",\"ds\":\"%s\","
-      "\"smr\":\"%s\",\"threads\":%d,\"deficit\":%llu,"
-      "\"initial_capacity\":%llu,\"key_range\":%llu,\"seconds\":%.6f,"
-      "\"mops\":%.6f,\"storm_mops\":%.6f,\"steady_mops\":%.6f,"
-      "\"recovery_pct\":%.2f,\"grows\":%llu,\"shrinks\":%llu,"
-      "\"buckets_final\":%llu,\"retired\":%llu,\"freed\":%llu,"
-      "\"final_unreclaimed\":%llu}\n",
-      spec.name.c_str(), spec.ds.c_str(), spec.smr.c_str(), spec.threads,
-      static_cast<unsigned long long>(deficit),
-      static_cast<unsigned long long>(
-          spec.initial_capacity > 0 ? spec.initial_capacity : spec.key_range),
-      static_cast<unsigned long long>(spec.key_range), r.seconds, r.mops,
-      storm_mops, steady_mops, recovery_pct,
-      static_cast<unsigned long long>(r.grows),
-      static_cast<unsigned long long>(r.shrinks),
-      static_cast<unsigned long long>(r.buckets_final),
-      static_cast<unsigned long long>(r.smr.retired),
-      static_cast<unsigned long long>(r.smr.freed),
-      static_cast<unsigned long long>(r.final_unreclaimed));
-  std::fclose(f);
-}
-
-// One "fault" row per bench_faults cell: the fault being injected (the
-// `fault` axis), the blast radius (kills / suppressed signals), what the
-// recovery machinery did about it (waves timed out, tids reaped, orphans
-// adopted), and the memory trajectory around the fault window. recovered
-// == 0 means the timeline never dropped back to the pre-fault baseline —
-// the signal a reviewer greps for.
-inline void emit_fault_jsonl(const std::string& path, const ScenarioSpec& spec,
-                             const std::string& fault,
-                             const ScenarioResult& r) {
-  if (path.empty()) return;
-  std::FILE* f = std::fopen(path.c_str(), "a");
-  if (f == nullptr) return;
-  begin_row(f, "fault");
-  emit_audit_fields(f, r);
-  emit_latency_fields(f, r.latency_all);
-  std::fprintf(
-      f,
-      "\"scenario\":\"%s\",\"ds\":\"%s\",\"smr\":\"%s\","
-      "\"threads\":%d,\"fault\":\"%s\",\"seconds\":%.6f,\"mops\":%.6f,"
-      "\"kills\":%llu,\"signals_suppressed\":%llu,\"first_kill_at_ms\":%llu,"
-      "\"recovered_at_ms\":%llu,\"waves_timed_out\":%llu,"
-      "\"tids_reaped\":%llu,\"orphans_adopted\":%llu,"
-      "\"pressure_events\":%llu,\"forced_handshakes\":%llu,"
-      "\"signals_sent\":%llu,\"retired\":%llu,\"freed\":%llu,"
-      "\"peak_unreclaimed\":%llu,\"final_unreclaimed\":%llu}\n",
-      spec.name.c_str(), spec.ds.c_str(), spec.smr.c_str(), spec.threads,
-      fault.c_str(), r.seconds, r.mops,
-      static_cast<unsigned long long>(r.kills),
-      static_cast<unsigned long long>(r.signals_suppressed),
-      static_cast<unsigned long long>(r.first_kill_at_ms),
-      static_cast<unsigned long long>(r.recovered_at_ms),
-      static_cast<unsigned long long>(r.smr.waves_timed_out),
-      static_cast<unsigned long long>(r.smr.tids_reaped),
-      static_cast<unsigned long long>(r.smr.orphans_adopted),
-      static_cast<unsigned long long>(r.smr.pressure_events),
-      static_cast<unsigned long long>(r.smr.forced_handshakes),
-      static_cast<unsigned long long>(r.smr.signals_sent),
-      static_cast<unsigned long long>(r.smr.retired),
-      static_cast<unsigned long long>(r.smr.freed),
-      static_cast<unsigned long long>(r.stall_peak_unreclaimed),
-      static_cast<unsigned long long>(r.final_unreclaimed));
-  emit_latency_rows(f, spec, r);
-  std::fclose(f);
-}
-
-// One "pressure" row per backstop cell: the configured bound, how often
-// unreclaimed crossed it (pressure_events) vs how many handshake passes
-// the backstop actually forced, and the bound-vs-peak trajectory showing
-// graceful degradation (peak may exceed the bound while a reservation
-// pins memory; the backstop defers and warns, it never blocks).
-inline void emit_pressure_jsonl(const std::string& path,
-                                const ScenarioSpec& spec,
-                                const ScenarioResult& r) {
-  if (path.empty()) return;
-  std::FILE* f = std::fopen(path.c_str(), "a");
-  if (f == nullptr) return;
-  begin_row(f, "pressure");
-  std::fprintf(
-      f,
-      "\"scenario\":\"%s\",\"ds\":\"%s\","
-      "\"smr\":\"%s\",\"threads\":%d,\"pressure_bound\":%llu,"
-      "\"pressure_events\":%llu,\"forced_handshakes\":%llu,"
-      "\"baseline_unreclaimed\":%llu,\"peak_unreclaimed\":%llu,"
-      "\"final_unreclaimed\":%llu,\"stall_parked_at_ms\":%llu,"
-      "\"stall_resumed_at_ms\":%llu,\"retired\":%llu,\"freed\":%llu}\n",
-      spec.name.c_str(), spec.ds.c_str(), spec.smr.c_str(), spec.threads,
-      static_cast<unsigned long long>(spec.smr_cfg.pressure_bound),
-      static_cast<unsigned long long>(r.smr.pressure_events),
-      static_cast<unsigned long long>(r.smr.forced_handshakes),
-      static_cast<unsigned long long>(r.baseline_unreclaimed),
-      static_cast<unsigned long long>(r.stall_peak_unreclaimed),
-      static_cast<unsigned long long>(r.final_unreclaimed),
-      static_cast<unsigned long long>(r.stall_parked_at_ms),
-      static_cast<unsigned long long>(r.stall_resumed_at_ms),
-      static_cast<unsigned long long>(r.smr.retired),
-      static_cast<unsigned long long>(r.smr.freed));
-  std::fclose(f);
-}
-
-// One "sharded" summary row per benchmark cell (bench_sharded's rail):
-// the cell identity plus the aggregate throughput and the per-shard load
-// spread, followed by the per-shard "shard" rows.
-inline void emit_sharded_jsonl(const std::string& path,
-                               const ScenarioSpec& spec,
-                               const ScenarioResult& r) {
-  if (path.empty()) return;
-  std::FILE* f = std::fopen(path.c_str(), "a");
-  if (f == nullptr) return;
-  begin_row(f, "sharded");
-  std::fprintf(
-      f,
-      "\"scenario\":\"%s\",\"ds\":\"%s\","
-      "\"smr\":\"%s\",\"threads\":%d,\"shards\":%d,\"shard_hash\":\"%s\","
-      "\"seconds\":%.6f,\"mops\":%.6f,\"read_mops\":%.6f,\"retired\":%llu,"
-      "\"freed\":%llu,\"signals_sent\":%llu,\"final_unreclaimed\":%llu,"
-      "\"pool_live_blocks\":%llu,\"shard_ops_max\":%llu,"
-      "\"shard_ops_min\":%llu}\n",
-      spec.name.c_str(), spec.ds.c_str(), spec.smr.c_str(), spec.threads,
-      spec.shards, spec.shard_hash.c_str(), r.seconds, r.mops, r.read_mops,
-      static_cast<unsigned long long>(r.smr.retired),
-      static_cast<unsigned long long>(r.smr.freed),
-      static_cast<unsigned long long>(r.smr.signals_sent),
-      static_cast<unsigned long long>(r.final_unreclaimed),
-      static_cast<unsigned long long>(r.service.pool_live_blocks),
-      static_cast<unsigned long long>(r.service.ops_max_shard()),
-      static_cast<unsigned long long>(r.service.ops_min_shard()));
   emit_shard_rows(f, spec, r);
   std::fclose(f);
 }

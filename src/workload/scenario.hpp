@@ -13,8 +13,7 @@
 // plus a background memory-timeline sampler, so robustness shows up as a
 // plotted trajectory (unreclaimed nodes / RSS over time) instead of one
 // end-of-run number. `run_scenario` executes a spec; `normalize`
-// validates and clamps it first. The legacy bench driver's run_workload
-// is a one-phase wrapper over this engine.
+// validates and clamps it first.
 #pragma once
 
 #include <cstdint>
@@ -25,9 +24,49 @@
 #include "obs/latency_histo.hpp"
 #include "service/service_stats.hpp"
 #include "smr/smr_config.hpp"
-#include "workload/op_mix.hpp"
 
 namespace pop::workload {
+
+// Operation mix in percent; the remainder of a [0, 100) roll is get()
+// (== contains for key-only callers). put is insert-or-replace: on an
+// existing key it swaps in a fresh node and retires the displaced one,
+// the KV-specific reclamation traffic class set-only mixes never create.
+struct OpMix {
+  uint32_t pct_insert = 25;
+  uint32_t pct_erase = 25;
+  uint32_t pct_put = 0;
+};
+
+// Per-op counters accumulated by a run (a phase, or a whole scenario).
+// reads = gets; updates = inserts + erases + puts.
+struct OpCounts {
+  uint64_t ops = 0;
+  uint64_t reads = 0;
+  uint64_t updates = 0;
+  uint64_t gets = 0;
+  uint64_t get_hits = 0;
+  uint64_t inserts = 0;
+  uint64_t erases = 0;
+  uint64_t puts = 0;
+  uint64_t put_replaced = 0;  // puts that displaced (and retired) a node
+  // Read-your-writes violations observed by the validation mode (a get
+  // on a worker-private key returning anything but the worker's latest
+  // completed write). Always 0 on a correct build.
+  uint64_t rw_violations = 0;
+
+  void accumulate(const OpCounts& o) {
+    ops += o.ops;
+    reads += o.reads;
+    updates += o.updates;
+    gets += o.gets;
+    get_hits += o.get_hits;
+    inserts += o.inserts;
+    erases += o.erases;
+    puts += o.puts;
+    put_replaced += o.put_replaced;
+    rw_violations += o.rw_violations;
+  }
+};
 
 enum class KeyDist { kUniform, kZipfian, kHotspot };
 
@@ -44,8 +83,7 @@ struct KeyDistSpec {
 };
 
 // The op mix (pct_insert / pct_erase / pct_put, remainder get) is the
-// shared OpMix base — the same struct the bench driver's WorkloadConfig
-// embeds.
+// shared OpMix base.
 struct PhaseSpec : OpMix {
   std::string name = "main";
   uint64_t duration_ms = 100;
@@ -142,8 +180,8 @@ struct ScenarioSpec {
   // different from key_range (0 = provision for key_range, the legacy
   // behaviour). Under-provisioning a resizable table (initial_capacity
   // << key_range) forces a grow storm; a fixed HMHT just runs with long
-  // buckets. The deficit key_range / initial_capacity is what
-  // bench_resize sweeps.
+  // buckets. The deficit key_range / initial_capacity is what the resize
+  // preset sweeps.
   uint64_t initial_capacity = 0;
   smr::SmrConfig smr_cfg;
   std::vector<PhaseSpec> phases;  // empty => one default phase
@@ -238,9 +276,9 @@ struct ScenarioResult : OpCounts {
   uint64_t grows = 0;
   uint64_t shrinks = 0;
   uint64_t buckets_final = 0;
-  uint64_t resizes() const { return grows + shrinks; }
   // Per-shard breakdown when the spec ran sharded (shards > 1); empty
-  // otherwise. service.smr matches the `smr` roll-up above.
+  // otherwise, except pool_live_blocks (the process-wide pool occupancy
+  // at the end of every run). service.smr matches the `smr` roll-up.
   service::ServiceStats service;
   std::vector<std::string> warnings;  // what normalize() adjusted
   // Observability roll-up (tentpole PR 8). `latency` has one entry per

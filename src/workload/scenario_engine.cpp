@@ -706,7 +706,14 @@ ScenarioResult run_scenario(const ScenarioSpec& spec_in) {
     res.shrinks = rs.shrinks;
     res.buckets_final = rs.buckets;
   }
-  if (sharded != nullptr) res.service = sharded->service_stats();
+  if (sharded != nullptr) {
+    res.service = sharded->service_stats();
+  } else {
+    const auto ps = runtime::PoolAllocator::instance().stats();
+    res.service.pool_live_blocks = ps.freed_blocks > ps.allocated_blocks
+                                       ? 0
+                                       : ps.allocated_blocks - ps.freed_blocks;
+  }
   res.vm_hwm_kib = runtime::vm_hwm_kib();
   res.final_size = set->size_slow();
   res.final_unreclaimed = res.smr.unreclaimed();
@@ -731,6 +738,29 @@ ScenarioResult run_scenario(const ScenarioSpec& spec_in) {
   res.audit_on = smr::audit::on();
   res.audit_violations = smr::audit::violations() - audit_before;
   return res;
+}
+
+void run_sweep(const Sweep& sweep,
+               const std::function<void(const ScenarioSpec&,
+                                        const ScenarioResult&, double)>&
+                   on_cell) {
+  std::vector<double> metric(sweep.cells.size(), 0.0);
+  for (size_t i = 0; i < sweep.cells.size(); ++i) {
+    ScenarioSpec spec = sweep.cells[i].spec;
+    for (const auto& w : normalize(spec)) {
+      std::fprintf(stderr, "%s: %s\n", spec.name.c_str(), w.c_str());
+    }
+    const ScenarioResult r = run_scenario(spec);
+    if (!r.phases.empty()) {
+      const PhaseResult& last = r.phases.back();
+      metric[i] = sweep.metric == RefMetric::kReadMops ? last.read_mops
+                                                       : last.mops;
+    }
+    const int ref = sweep.cells[i].ref;
+    const bool has_ref =
+        ref >= 0 && static_cast<size_t>(ref) <= i && metric[ref] > 0;
+    on_cell(spec, r, has_ref ? 100.0 * metric[i] / metric[ref] : 0.0);
+  }
 }
 
 }  // namespace pop::workload

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <initializer_list>
+
+#include "ds/iset.hpp"
 
 namespace pop::workload {
 
@@ -28,7 +31,327 @@ PhaseSpec phase(const char* name, uint64_t dur_ms, uint32_t ins, uint32_t ers,
   return p;
 }
 
+// ---- presets: the figures, ablations and kv / resize / faults sweeps ------
+
+// Smoke mode (--short) caps every key range here.
+constexpr uint64_t kShortKeyRange = 512;
+
+struct DsCase {
+  std::string ds{};
+  uint64_t key_range = 0;  // 0 = default_range(ds)
+  uint64_t deficit = 1;    // provision the table for key_range / deficit
+};
+
+// One cross product of cells, looped ds -> shape -> cfg -> threads -> smr
+// (-> shards, the caller's axis). A shape is a phase schedule, or a named
+// scenario when `scenarios` is set (which then owns its smr_cfg). The
+// default SmrConfig is the figures' scaled retire threshold, 512.
+struct Block {
+  std::vector<DsCase> ds{};
+  std::vector<std::vector<PhaseSpec>> schedules{};
+  std::vector<std::string> scenarios{};
+  std::vector<smr::SmrConfig> cfgs = {smr::SmrConfig{}};
+  std::vector<int> threads = {4};
+  std::vector<std::string> smrs{};  // empty = every scheme
+};
+
+struct Preset {
+  std::string name{};
+  std::string description{};
+  uint64_t phase_ms = 0;  // every scheduled phase's length
+  uint64_t prefill = UINT64_MAX;
+  std::vector<Block> blocks{};
+  // recovery_pct divides `metric` by the same metric on a reference cell:
+  // the same coordinates under `ref_smr`, or on the block's first ds case.
+  RefMetric metric = RefMetric::kMops;
+  std::string ref_smr{};
+  bool ref_first_ds = false;
+};
+
+PhaseSpec mix(const char* name, uint32_t ins, uint32_t ers, uint32_t put = 0) {
+  PhaseSpec p = phase(name, 0, ins, ers, 1.0);
+  p.pct_put = put;
+  return p;
+}
+
+std::vector<smr::SmrConfig> sweep_cfg(uint64_t smr::SmrConfig::*knob,
+                                      std::initializer_list<uint64_t> values,
+                                      uint64_t retire_threshold = 512) {
+  std::vector<smr::SmrConfig> out;
+  for (const uint64_t v : values) {
+    out.emplace_back().retire_threshold = retire_threshold;
+    out.back().*knob = v;
+  }
+  return out;
+}
+
+const std::vector<Preset>& presets() {
+  static const std::vector<Preset> all = [] {
+    const std::vector<PhaseSpec> update = {mix("update-heavy", 50, 50)};
+    const std::vector<PhaseSpec> read = {mix("read-heavy", 5, 5)};
+    PhaseSpec long_reads = mix("long-reads", 25, 25);
+    long_reads.split_readers_writers = true;
+    long_reads.writer_key_range = 64;  // updates near the head
+    std::vector<std::vector<PhaseSpec>> put_ratios;
+    for (uint32_t put : {0, 10, 50, 90}) {
+      // A fixed 5/5 insert/erase background keeps membership churning so
+      // puts keep splitting into insert vs replace outcomes.
+      put_ratios.push_back({mix("kv", 5, 5, put)});
+    }
+    using C = smr::SmrConfig;
+    const std::vector<int> t124 = {1, 2, 4};
+    return std::vector<Preset>{
+        {.name = "fig1",
+         .description =
+             "Figure 1: update-heavy 50i/50d on DGT, HMHT and ABT — "
+             "throughput and max retire-list size per scheme (paper: "
+             "200K/6M/20M keys, 1..288 threads, 5 s, threshold 24K; scaled "
+             "to ranges 8K/16K/64K, 200 ms, threshold 512)",
+         .phase_ms = 200,
+         .blocks = {{.ds = {{"DGT", 8192}, {"HMHT", 16384}, {"ABT", 65536}},
+                     .schedules = {update},
+                     .threads = t124}}},
+        {.name = "fig2",
+         .description = "Figure 2: update-heavy 50i/50d on the Harris-Michael "
+                        "and lazy lists, size 1K (range 2K) — the list "
+                        "traversals where per-read fences dominate",
+         .phase_ms = 200,
+         .blocks = {{.ds = {{"HML", 2048}, {"LL", 2048}},
+                     .schedules = {update},
+                     .threads = t124}}},
+        {.name = "fig3",
+         .description = "Figure 3: read-heavy 90c/5i/5d on ABT and DGT — "
+                        "HP/HE still fence on every read, the POP family "
+                        "reads fence-free",
+         .phase_ms = 200,
+         .blocks = {{.ds = {{"ABT", 65536}, {"DGT", 8192}},
+                     .schedules = {read},
+                     .threads = t124}}},
+        {.name = "fig4",
+         .description =
+             "Figure 4: long-running reads on HML 10K/50K/100K; half the "
+             "threads run full-range contains, half update near the head "
+             "under retire threshold 64 (paper: 96+96 threads, 2K). "
+             "recovery_pct is read throughput vs NR's; neutralized counts "
+             "NBR's restarts",
+         .phase_ms = 300,
+         .blocks = {{.ds = {{"HML", 10'000}, {"HML", 50'000}, {"HML", 100'000}},
+                     .schedules = {{long_reads}},
+                     .cfgs = sweep_cfg(&C::retire_threshold, {64})}},
+         .metric = RefMetric::kReadMops,
+         .ref_smr = "NR"},
+        {.name = "fig5-9",
+         .description = "Figures 5-9: every structure, update- and "
+                        "read-heavy, with the appendix's memory metrics "
+                        "(VmHWM is a process-lifetime high-watermark)",
+         .phase_ms = 150,
+         .blocks = {{.ds = {{"ABT", 65536},
+                            {"DGT", 8192},
+                            {"HMHT", 16384},
+                            {"HML", 2048},
+                            {"LL", 2048}},
+                     .schedules = {update, read},
+                     .threads = {2, 4}}}},
+        {.name = "fig10-11",
+         .description =
+             "Figures 10-11: HML 2K and HMHT 16K, update- and read-heavy, "
+             "POP against BRC. BRC stands in for Crystalline: batched "
+             "reference counting with the same reader profile (no per-read "
+             "work, one announcement per op, batch frees after grace "
+             "periods), so the comparison of interest — POP vs a fast "
+             "low-memory non-reservation scheme — is preserved",
+         .phase_ms = 200,
+         .blocks = {{.ds = {{"HML", 2048}, {"HMHT", 16384}},
+                     .schedules = {update, read},
+                     .threads = t124,
+                     .smrs = {"NR", "BRC", "EBR", "HazardPtrPOP",
+                              "HazardEraPOP", "EpochPOP"}}}},
+        {.name = "ablation-oversubscription",
+         .description = "§4.1.2 ablation: HMHT 16K update-heavy at 1..32 "
+                        "threads — POP's worst case, a reclaimer waiting "
+                        "for descheduled threads to publish",
+         .phase_ms = 150,
+         .blocks = {{.ds = {{"HMHT", 16384}},
+                     .schedules = {update},
+                     .threads = {1, 2, 4, 8, 16, 32},
+                     .smrs = {"HP", "HPAsym", "EBR", "HazardPtrPOP",
+                              "EpochPOP", "NBR"}}}},
+        {.name = "ablation-thresholds",
+         .description = "update-heavy ablations: (a) retire_threshold on HML "
+                        "2K, (b) EpochPOP's C multiplier on HMHT 16K, (c) "
+                        "epoch_freq for EBR vs EpochPOP on DGT 8K",
+         .phase_ms = 150,
+         .blocks = {{.ds = {{"HML", 2048}},
+                     .schedules = {update},
+                     .cfgs = sweep_cfg(&C::retire_threshold,
+                                       {32, 128, 512, 2048, 8192}),
+                     .smrs = {"HazardPtrPOP", "EpochPOP", "HP", "NBR"}},
+                    {.ds = {{"HMHT", 16384}},
+                     .schedules = {update},
+                     .cfgs = sweep_cfg(&C::pop_multiplier, {2, 4, 8}, 256),
+                     .smrs = {"EpochPOP"}},
+                    {.ds = {{"DGT", 8192}},
+                     .schedules = {update},
+                     .cfgs = sweep_cfg(&C::epoch_freq, {1, 16, 64, 256}),
+                     .smrs = {"EBR", "EpochPOP"}}}},
+        {.name = "kv",
+         .description = "put-ratio sweep, 0/10/50/90% puts over a 5i/5d "
+                        "background: every replace retires the displaced "
+                        "node, traffic set-only mixes never produce",
+         .phase_ms = 200,
+         .blocks = {{.ds = {{"HML", 2048}, {"HMHT", 16384}},
+                     .schedules = put_ratios}}},
+        {.name = "resize",
+         .description = "deficit sweep: a storm phase fills a cold table "
+                        "provisioned for key_range/D keys (D = 1, 16, 64), "
+                        "then a steady phase; recovery_pct is steady "
+                        "throughput vs a right-sized fixed HMHT's",
+         .phase_ms = 200,
+         .prefill = 0,  // the storm is the fill: growth happens under load
+         .blocks = {{.ds = {{"HMHT", 16384, 1},
+                            {"RHHT", 16384, 1},
+                            {"RHHT", 16384, 16},
+                            {"RHHT", 16384, 64}},
+                     .schedules = {{mix("storm", 70, 0, 20),
+                                    mix("steady", 10, 10, 20)}}}},
+         .metric = RefMetric::kMops,
+         .ref_first_ds = true},
+        {.name = "faults",
+         .description = "signal-loss (watchdog), zombie-storm (reaper) and "
+                        "pressure-backstop (backstop) per cell",
+         .blocks = {{.ds = {{"HML"}},
+                     .scenarios = {"signal-loss", "zombie-storm",
+                                   "pressure-backstop"}}}},
+    };
+  }();
+  return all;
+}
+
+const Preset* find_preset(const std::string& name) {
+  for (const auto& p : presets()) {
+    if (p.name == name) return &p;
+  }
+  return nullptr;
+}
+
+// The preset's cases for each requested structure, in request order; a
+// structure the preset lacks gets a default-range case.
+std::vector<DsCase> pick_ds(const std::vector<DsCase>& own,
+                            const std::vector<std::string>& want) {
+  if (want.empty()) return own;
+  std::vector<DsCase> out;
+  for (const auto& d : want) {
+    const size_t before = out.size();
+    for (const auto& c : own) {
+      if (c.ds == d) out.push_back(c);
+    }
+    if (out.size() == before) out.push_back({d});
+  }
+  return out;
+}
+
 }  // namespace
+
+const std::vector<std::string>& preset_names() {
+  static const std::vector<std::string> names = [] {
+    std::vector<std::string> v;
+    for (const auto& p : presets()) v.push_back(p.name);
+    return v;
+  }();
+  return names;
+}
+
+std::optional<Sweep> make_sweep(const std::string& name,
+                                const SweepAxes& ax) {
+  const Preset* p = find_preset(name);
+  Preset single;  // a named scenario is a one-shape preset
+  if (p == nullptr) {
+    if (!make_scenario(name, {})) return std::nullopt;
+    single = {.name = name, .blocks = {{.ds = {{"HML"}}, .scenarios = {name}}}};
+    p = &single;
+  }
+  const double scale = ax.short_mode ? 0.25 : 1.0;
+  const uint64_t phase_ms =
+      scaled_ms(ax.duration_ms ? ax.duration_ms : p->phase_ms, scale);
+  const std::vector<int> shard_list =
+      ax.shards.empty() ? std::vector<int>{0} : ax.shards;
+
+  Sweep out;
+  out.metric = p->metric;
+  for (const Block& b : p->blocks) {
+    const auto cases = pick_ds(b.ds, ax.ds);
+    auto smrs = !ax.smrs.empty()  ? ax.smrs
+                : !b.smrs.empty() ? b.smrs
+                                  : ds::all_smr_names();
+    // The reference scheme runs first, so every reference precedes the
+    // cells compared against it.
+    std::stable_partition(smrs.begin(), smrs.end(), [&](const auto& s) {
+      return s == p->ref_smr;
+    });
+    const bool has_ref_smr =
+        !p->ref_smr.empty() && !smrs.empty() && smrs[0] == p->ref_smr;
+    const auto& threads = ax.threads.empty() ? b.threads : ax.threads;
+    const bool scenario_shapes = !b.scenarios.empty();
+    const size_t nshape =
+        scenario_shapes ? b.scenarios.size() : b.schedules.size();
+    const size_t ncfg = scenario_shapes ? 1 : b.cfgs.size();
+    const size_t nshards = shard_list.size();
+    const size_t per_ds =
+        nshape * ncfg * threads.size() * smrs.size() * nshards;
+
+    for (size_t di = 0; di < cases.size(); ++di) {
+      const DsCase& c = cases[di];
+      uint64_t range = c.key_range ? c.key_range : default_range(c.ds);
+      if (ax.short_mode) range = std::min(range, kShortKeyRange);
+      for (size_t si = 0; si < nshape; ++si) {
+        for (size_t ci = 0; ci < ncfg; ++ci) {
+          for (size_t ti = 0; ti < threads.size(); ++ti) {
+            for (size_t mi = 0; mi < smrs.size(); ++mi) {
+              for (size_t hi = 0; hi < nshards; ++hi) {
+                ScenarioSpec s;
+                if (scenario_shapes) {
+                  ScenarioBuild sb;
+                  sb.ds = c.ds;
+                  sb.smr = smrs[mi];
+                  sb.threads = threads[ti];
+                  sb.time_scale = scale;
+                  sb.key_range = range;
+                  sb.shards = shard_list[hi];
+                  s = *make_scenario(b.scenarios[si], sb);
+                } else {
+                  s.name = p->name;
+                  s.ds = c.ds;
+                  s.smr = smrs[mi];
+                  s.threads = threads[ti];
+                  s.shards = std::max(1, shard_list[hi]);
+                  s.key_range = range;
+                  s.prefill = p->prefill;
+                  if (c.deficit > 1) {
+                    s.initial_capacity =
+                        std::max<uint64_t>(2, range / c.deficit);
+                  }
+                  s.smr_cfg = b.cfgs[ci];
+                  s.phases = b.schedules[si];
+                  for (auto& ph : s.phases) ph.duration_ms = phase_ms;
+                }
+                if (!ax.shard_hash.empty()) s.shard_hash = ax.shard_hash;
+
+                // The reference differs only in its scheme (index 0) or
+                // its ds case (index 0): one stride back per index.
+                const size_t at = out.cells.size();
+                int ref = -1;
+                if (has_ref_smr) ref = static_cast<int>(at - mi * nshards);
+                if (p->ref_first_ds) ref = static_cast<int>(at - di * per_ds);
+                out.cells.push_back({std::move(s), ref});
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  return out;
+}
 
 const std::vector<std::string>& scenario_names() {
   static const std::vector<std::string> names = {
@@ -36,6 +359,7 @@ const std::vector<std::string>& scenario_names() {
       "stall-recovery", "oversubscribed-burst", "sharded-uniform",
       "sharded-hotspot", "kv-update-heavy",     "grow-churn",
       "resize-storm",   "zombie-storm",         "pressure-backstop",
+      "signal-loss",
   };
   return names;
 }
@@ -97,6 +421,14 @@ std::string scenario_description(const std::string& name) {
            "backstop forces passes, degrades to defer-and-warn while "
            "pinned, and recovers once the victim resumes";
   }
+  if (name == "signal-loss") {
+    return "stall-recovery with every ping to the parked victim dropped "
+           "until it resumes: a POP wave cannot complete, so the watchdog "
+           "must time it out and defer";
+  }
+  for (const auto& p : presets()) {
+    if (name == p.name) return p.description;
+  }
   return "";
 }
 
@@ -108,7 +440,7 @@ std::optional<ScenarioSpec> make_scenario(const std::string& name,
   s.smr = b.smr;
   s.threads = std::max(1, b.threads);
   s.key_range = b.key_range ? b.key_range : default_range(b.ds);
-  // Any scenario can run sharded (bench_sharded sweeps the axis); only
+  // Any scenario can run sharded (--shards sweeps the axis); only
   // the sharded-* scenarios default it above 1.
   s.shards = b.shards > 0 ? b.shards : 1;
   const double sc = b.time_scale > 0 ? b.time_scale : 1.0;
@@ -277,6 +609,24 @@ std::optional<ScenarioSpec> make_scenario(const std::string& name,
     s.smr_cfg.pressure_bound =
         s.smr_cfg.retire_threshold * static_cast<uint64_t>(s.threads) * 2;
     s.mem_sample_every_ms = std::max<uint64_t>(1, scaled_ms(8, sc));
+    return s;
+  }
+
+  if (name == "signal-loss") {
+    // stall-recovery's shape with the loss injector eating every ping
+    // aimed at the victim while it sleeps; delivery is restored when the
+    // victim resumes, so the tail of the run measures recovery.
+    s = *make_scenario("stall-recovery", b);
+    s.name = name;
+    s.faults.signal_loss = true;
+    s.faults.signal_loss_pct = 100;
+    s.faults.signal_loss_stop_after_ms =
+        s.stall.park_after_ms + s.stall.park_for_ms;
+    // A low threshold keeps retire backlogs crossing the POP trigger
+    // during the park window even in slow sanitizer builds — without
+    // waves there is nothing for the injector to eat or the watchdog to
+    // time out.
+    s.smr_cfg.retire_threshold = 64;
     return s;
   }
 

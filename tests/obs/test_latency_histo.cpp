@@ -129,9 +129,36 @@ TEST(LatencyHisto, DiffYieldsIntervalCountsAndLaterMax) {
 
   const HistoSnapshot d = after.diff(before);
   EXPECT_EQ(d.total, 500u);
-  EXPECT_EQ(d.max_ns, after.max_ns);  // high-watermark semantics
+  // The lifetime max fell inside this window, so the window reports it.
+  EXPECT_EQ(d.max_ns, after.max_ns);
   // Every diffed sample is from the second batch: p50 well above 1 ms.
   EXPECT_GE(d.percentile(50.0), 900000u);
+}
+
+TEST(LatencyHisto, DiffMaxIsTheWindowsOwnMax) {
+  // Window 1 holds a 5 ms outlier, window 2 only sub-microsecond samples:
+  // window 2's max must describe window 2, not the process lifetime.
+  uint64_t seed = 21;
+  HistoSnapshot t0;
+  HistoSnapshot t1 = t0;
+  for (int i = 0; i < 100; ++i) t1.add(log_uniform(seed) % 900 + 1);
+  t1.add(5'000'000);
+  HistoSnapshot t2 = t1;
+  uint64_t window2_max = 0;
+  for (int i = 0; i < 100; ++i) {
+    const uint64_t v = log_uniform(seed) % 900 + 1;
+    window2_max = std::max(window2_max, v);
+    t2.add(v);
+  }
+
+  const HistoSnapshot w1 = t1.diff(t0);
+  EXPECT_EQ(w1.max_ns, 5'000'000u);
+  const HistoSnapshot w2 = t2.diff(t1);
+  EXPECT_GE(w2.max_ns, window2_max);
+  EXPECT_LE(static_cast<double>(w2.max_ns),
+            static_cast<double>(window2_max) * (1.0 + 1.0 / 64.0));
+  EXPECT_LT(summarize(w2).max_us, 1.0);
+  EXPECT_EQ(HistoSnapshot{}.diff(HistoSnapshot{}).max_ns, 0u);
 }
 
 TEST(LatencyHisto, DiffOfMergesEqualsMergeOfDiffs) {

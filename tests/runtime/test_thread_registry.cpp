@@ -41,16 +41,26 @@ TEST(ThreadRegistry, DistinctLiveThreadsGetDistinctTids) {
 }
 
 TEST(ThreadRegistry, TidsAreRecycledAfterThreadExit) {
-  std::set<int> first, second;
+  (void)my_tid();  // register main first so it holds no wave's slot
   std::mutex mu;
-  test::run_threads(4, [&](int) {
-    std::lock_guard<std::mutex> lk(mu);
-    first.insert(my_tid());
-  });
-  test::run_threads(4, [&](int) {
-    std::lock_guard<std::mutex> lk(mu);
-    second.insert(my_tid());
-  });
+  // Each wave holds all four workers alive until every one registered:
+  // without the barrier an early worker can exit (freeing its slot) before
+  // a late one registers, and the wave would use fewer than four slots.
+  const auto wave = [&](std::set<int>& tids) {
+    std::atomic<int> arrived{0};
+    test::run_threads(4, [&](int) {
+      {
+        std::lock_guard<std::mutex> lk(mu);
+        tids.insert(my_tid());
+      }
+      arrived.fetch_add(1);
+      while (arrived.load() < 4) std::this_thread::yield();
+    });
+  };
+  std::set<int> first, second;
+  wave(first);
+  wave(second);
+  ASSERT_EQ(first.size(), 4u);
   // All four slots freed by join, so the second wave reuses them.
   EXPECT_EQ(first, second);
 }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 
 #include "core/pop_engine.hpp"
@@ -333,6 +334,14 @@ TEST(PopEngine, PingsReceivedCounterTracksHandlers) {
   const uint64_t before = e.pings_received(rtid.load());
   e.ping_all_and_wait(self);
   e.ping_all_and_wait(self);
+  // The handler bumps `pings` after the publish the wait returns on, so
+  // the second handler's bump may land just after the wave completes.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (e.pings_received(rtid.load()) < before + 2 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
   EXPECT_GE(e.pings_received(rtid.load()), before + 2);
   release.store(true);
   reader.join();

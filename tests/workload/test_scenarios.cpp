@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
+#include <string>
+#include <vector>
 
 #include "ds/iset.hpp"
 #include "workload/scenario_engine.hpp"
@@ -184,6 +187,293 @@ TEST(Scenarios, PressureBackstopSmokeForcesPasses) {
   // and by teardown the backlog drained below where the stall pushed it.
   EXPECT_LT(r.final_unreclaimed, std::max<uint64_t>(r.stall_peak_unreclaimed,
                                                     1));
+}
+
+// ---- presets ---------------------------------------------------------------
+
+// What a figure cell runs: the fields a paper-figure sweep varies.
+struct FigCell {
+  std::string ds;
+  uint64_t key_range;
+  uint32_t ins, ers;
+  bool split;
+  int threads;
+  std::string smr;
+  uint64_t retire_threshold, epoch_freq, pop_multiplier, duration_ms;
+  bool operator==(const FigCell&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const FigCell& c) {
+  return os << c.ds << "/" << c.key_range << " " << c.ins << "i/" << c.ers
+            << "d" << (c.split ? " split" : "") << " t" << c.threads << " "
+            << c.smr << " rt" << c.retire_threshold << " ef" << c.epoch_freq
+            << " C" << c.pop_multiplier << " " << c.duration_ms << "ms";
+}
+
+std::vector<FigCell> expand(const std::string& preset) {
+  const auto sweep = make_sweep(preset, {});
+  EXPECT_TRUE(sweep.has_value()) << preset;
+  std::vector<FigCell> out;
+  if (!sweep) return out;
+  for (const auto& cell : sweep->cells) {
+    const ScenarioSpec& s = cell.spec;
+    EXPECT_EQ(s.phases.size(), 1u) << preset;
+    EXPECT_EQ(s.shards, 1) << preset;
+    EXPECT_EQ(s.prefill, UINT64_MAX) << preset;  // half the key range
+    EXPECT_EQ(s.initial_capacity, 0u) << preset;
+    EXPECT_EQ(s.load_factor, 6.0) << preset;
+    EXPECT_EQ(s.smr_cfg.num_slots, smr::SmrConfig{}.num_slots) << preset;
+    EXPECT_EQ(s.smr_cfg.pressure_bound, 0u) << preset;
+    const PhaseSpec& p = s.phases.at(0);
+    EXPECT_EQ(p.pct_put, 0u) << preset;
+    out.push_back({s.ds, s.key_range, p.pct_insert, p.pct_erase,
+                   p.split_readers_writers, s.threads, s.smr,
+                   s.smr_cfg.retire_threshold, s.smr_cfg.epoch_freq,
+                   s.smr_cfg.pop_multiplier, p.duration_ms});
+    if (p.split_readers_writers) {
+      EXPECT_EQ(p.writer_key_range, 64u);
+    }
+  }
+  return out;
+}
+
+// A paper-figure sweep as nested loops: every (ds, mix, threads, scheme)
+// in order, at one retire threshold and cell length.
+struct Loop {
+  std::vector<std::pair<std::string, uint64_t>> ds;
+  std::vector<std::pair<uint32_t, uint32_t>> mixes;
+  std::vector<int> threads;
+  std::vector<std::string> smrs;
+  uint64_t threshold, duration_ms;
+};
+
+std::vector<FigCell> loop(const Loop& l) {
+  std::vector<FigCell> out;
+  for (const auto& [ds, range] : l.ds) {
+    for (const auto& [ins, ers] : l.mixes) {
+      for (int t : l.threads) {
+        for (const auto& smr : l.smrs) {
+          out.push_back({ds, range, ins, ers, false, t, smr, l.threshold, 64,
+                         2, l.duration_ms});
+        }
+      }
+    }
+  }
+  return out;
+}
+
+TEST(Presets, EveryPresetIsListedAndDescribed) {
+  for (const auto& name : preset_names()) {
+    EXPECT_FALSE(scenario_description(name).empty()) << name;
+    const auto sweep = make_sweep(name, {});
+    ASSERT_TRUE(sweep.has_value()) << name;
+    EXPECT_FALSE(sweep->cells.empty()) << name;
+  }
+  EXPECT_FALSE(make_sweep("no-such-preset", {}).has_value());
+}
+
+TEST(Presets, FigurePresetsExpandToThePaperSweeps) {
+  const auto all = ds::all_smr_names();
+  const std::pair<uint32_t, uint32_t> update{50, 50}, read{5, 5};
+  const std::vector<int> t124 = {1, 2, 4};
+
+  const auto fig1 = loop({{{"DGT", 8192}, {"HMHT", 16384}, {"ABT", 65536}},
+                          {update}, t124, all, 512, 200});
+  EXPECT_EQ(fig1.size(), 99u);
+  EXPECT_EQ(expand("fig1"), fig1);
+
+  const auto fig2 =
+      loop({{{"HML", 2048}, {"LL", 2048}}, {update}, t124, all, 512, 200});
+  EXPECT_EQ(fig2.size(), 66u);
+  EXPECT_EQ(expand("fig2"), fig2);
+
+  const auto fig3 =
+      loop({{{"ABT", 65536}, {"DGT", 8192}}, {read}, t124, all, 512, 200});
+  EXPECT_EQ(fig3.size(), 66u);
+  EXPECT_EQ(expand("fig3"), fig3);
+
+  std::vector<FigCell> fig4;
+  for (uint64_t size : {10'000, 50'000, 100'000}) {
+    for (const auto& smr : all) {
+      fig4.push_back({"HML", size, 25, 25, true, 4, smr, 64, 64, 2, 300});
+    }
+  }
+  EXPECT_EQ(fig4.size(), 33u);
+  EXPECT_EQ(expand("fig4"), fig4);
+
+  const auto fig5_9 = loop({{{"ABT", 65536},
+                             {"DGT", 8192},
+                             {"HMHT", 16384},
+                             {"HML", 2048},
+                             {"LL", 2048}},
+                            {update, read},
+                            {2, 4},
+                            all,
+                            512,
+                            150});
+  EXPECT_EQ(fig5_9.size(), 220u);
+  EXPECT_EQ(expand("fig5-9"), fig5_9);
+
+  const auto fig10_11 =
+      loop({{{"HML", 2048}, {"HMHT", 16384}},
+            {update, read},
+            t124,
+            {"NR", "BRC", "EBR", "HazardPtrPOP", "HazardEraPOP", "EpochPOP"},
+            512,
+            200});
+  EXPECT_EQ(fig10_11.size(), 72u);
+  EXPECT_EQ(expand("fig10-11"), fig10_11);
+
+  const auto oversub =
+      loop({{{"HMHT", 16384}},
+            {update},
+            {1, 2, 4, 8, 16, 32},
+            {"HP", "HPAsym", "EBR", "HazardPtrPOP", "EpochPOP", "NBR"},
+            512,
+            150});
+  EXPECT_EQ(oversub.size(), 36u);
+  EXPECT_EQ(expand("ablation-oversubscription"), oversub);
+
+  std::vector<FigCell> thresholds;
+  for (uint64_t thr : {32, 128, 512, 2048, 8192}) {
+    for (const char* smr : {"HazardPtrPOP", "EpochPOP", "HP", "NBR"}) {
+      thresholds.push_back({"HML", 2048, 50, 50, false, 4, smr, thr, 64, 2,
+                            150});
+    }
+  }
+  for (uint64_t c : {2, 4, 8}) {
+    thresholds.push_back({"HMHT", 16384, 50, 50, false, 4, "EpochPOP", 256,
+                          64, c, 150});
+  }
+  for (uint64_t ef : {1, 16, 64, 256}) {
+    for (const char* smr : {"EBR", "EpochPOP"}) {
+      thresholds.push_back({"DGT", 8192, 50, 50, false, 4, smr, 512, ef, 2,
+                            150});
+    }
+  }
+  EXPECT_EQ(thresholds.size(), 31u);
+  EXPECT_EQ(expand("ablation-thresholds"), thresholds);
+}
+
+TEST(Presets, ReferenceCellsPrecedeAndMatchTheirCells) {
+  // fig4: every cell is compared against NR at the same list size.
+  const auto fig4 = make_sweep("fig4", {});
+  ASSERT_TRUE(fig4.has_value());
+  EXPECT_EQ(fig4->metric, RefMetric::kReadMops);
+  for (size_t i = 0; i < fig4->cells.size(); ++i) {
+    const auto& c = fig4->cells[i];
+    ASSERT_GE(c.ref, 0);
+    ASSERT_LE(static_cast<size_t>(c.ref), i);
+    const auto& r = fig4->cells[static_cast<size_t>(c.ref)].spec;
+    EXPECT_EQ(r.smr, "NR");
+    EXPECT_EQ(r.key_range, c.spec.key_range);
+  }
+  // An overridden scheme list without NR has no reference; one that
+  // names NR late still runs it first.
+  SweepAxes ax;
+  ax.smrs = {"EBR", "EpochPOP"};
+  const auto no_nr = make_sweep("fig4", ax);
+  for (const auto& c : no_nr->cells) EXPECT_EQ(c.ref, -1);
+  ax.smrs = {"EBR", "NR"};
+  const auto late = make_sweep("fig4", ax);
+  EXPECT_EQ(late->cells[0].spec.smr, "NR");
+  EXPECT_EQ(late->cells[1].ref, 0);
+
+  // resize: every RHHT deficit cell is compared against the right-sized
+  // fixed HMHT under the same scheme and thread count.
+  const auto resize = make_sweep("resize", {});
+  ASSERT_TRUE(resize.has_value());
+  EXPECT_EQ(resize->metric, RefMetric::kMops);
+  EXPECT_EQ(resize->cells.size(), 4 * ds::all_smr_names().size());
+  for (size_t i = 0; i < resize->cells.size(); ++i) {
+    const auto& c = resize->cells[i];
+    ASSERT_GE(c.ref, 0);
+    ASSERT_LE(static_cast<size_t>(c.ref), i);
+    const auto& r = resize->cells[static_cast<size_t>(c.ref)].spec;
+    EXPECT_EQ(r.ds, "HMHT");
+    EXPECT_EQ(r.initial_capacity, 0u);
+    EXPECT_EQ(r.smr, c.spec.smr);
+    EXPECT_EQ(r.threads, c.spec.threads);
+    EXPECT_EQ(c.spec.prefill, 0u);
+    ASSERT_EQ(c.spec.phases.size(), 2u);
+  }
+}
+
+TEST(Presets, SweepPresetsCarryTheirAxes) {
+  // kv: put ratios 0/10/50/90 over a 5/5 background on HML and HMHT.
+  const auto kv = make_sweep("kv", {});
+  ASSERT_TRUE(kv.has_value());
+  EXPECT_EQ(kv->cells.size(), 2 * 4 * ds::all_smr_names().size());
+  std::vector<uint32_t> puts;
+  for (const auto& c : kv->cells) {
+    if (c.spec.ds == "HML" && c.spec.smr == "NR") {
+      puts.push_back(c.spec.phases.at(0).pct_put);
+    }
+  }
+  EXPECT_EQ(puts, (std::vector<uint32_t>{0, 10, 50, 90}));
+
+  // faults: signal-loss, zombie-storm and pressure-backstop per cell.
+  SweepAxes ax;
+  ax.smrs = {"EpochPOP"};
+  ax.short_mode = true;
+  const auto faults = make_sweep("faults", ax);
+  ASSERT_TRUE(faults.has_value());
+  ASSERT_EQ(faults->cells.size(), 3u);
+  EXPECT_TRUE(faults->cells[0].spec.faults.signal_loss);
+  EXPECT_TRUE(faults->cells[1].spec.faults.thread_kill);
+  EXPECT_GT(faults->cells[2].spec.smr_cfg.pressure_bound, 0u);
+  for (const auto& c : faults->cells) {
+    EXPECT_EQ(c.spec.key_range, 512u);  // --short caps the range
+  }
+}
+
+TEST(Presets, AxesOverrideTheSweep) {
+  SweepAxes ax;
+  ax.ds = {"HML", "RHHT"};
+  ax.smrs = {"EBR"};
+  ax.threads = {2};
+  ax.shards = {1, 4};
+  ax.shard_hash = "modulo";
+  ax.duration_ms = 40;
+  const auto fig1 = make_sweep("fig1", ax);
+  ASSERT_TRUE(fig1.has_value());
+  // fig1 lacks both structures: each gets a default-range case.
+  ASSERT_EQ(fig1->cells.size(), 4u);
+  EXPECT_EQ(fig1->cells[0].spec.ds, "HML");
+  EXPECT_EQ(fig1->cells[0].spec.key_range, 2048u);
+  EXPECT_EQ(fig1->cells[1].spec.shards, 4);
+  EXPECT_EQ(fig1->cells[2].spec.ds, "RHHT");
+  for (const auto& c : fig1->cells) {
+    EXPECT_EQ(c.spec.smr, "EBR");
+    EXPECT_EQ(c.spec.threads, 2);
+    EXPECT_EQ(c.spec.shard_hash, "modulo");
+    EXPECT_EQ(c.spec.phases.at(0).duration_ms, 40u);
+  }
+  // A named scenario is a one-shape sweep over the same axes.
+  const auto named = make_sweep("sharded-uniform", ax);
+  ASSERT_TRUE(named.has_value());
+  EXPECT_EQ(named->cells.size(), 4u);
+  EXPECT_EQ(named->cells[0].spec.name, "sharded-uniform");
+}
+
+TEST(Presets, RunSweepReportsRecoveryAgainstTheReference) {
+  SweepAxes ax;
+  ax.ds = {"HMHT"};
+  ax.smrs = {"EBR", "NR"};
+  ax.threads = {2};
+  ax.duration_ms = 100;
+  ax.short_mode = true;
+  auto sweep = make_sweep("fig4", ax);
+  ASSERT_TRUE(sweep.has_value());
+  std::vector<double> pct;
+  run_sweep(*sweep, [&](const ScenarioSpec&, const ScenarioResult& r,
+                        double recovery_pct) {
+    EXPECT_GT(r.ops, 0u);
+    pct.push_back(recovery_pct);
+  });
+  ASSERT_EQ(pct.size(), 2u);
+  EXPECT_NEAR(pct[0], 100.0, 1e-9);  // NR against itself
+  EXPECT_GT(pct[1], 0.0);
 }
 
 }  // namespace

@@ -1,14 +1,13 @@
 #!/usr/bin/env python3
 """Validate popsmr benchmark JSONL artifacts (BENCH_*.json).
 
-Every bench binary appends JSON Lines to POPSMR_BENCH_JSON. Three row
+Every bench binary appends JSON Lines to POPSMR_BENCH_JSON. Two row
 families exist:
 
-  * kind-tagged rows (bench_scenarios / bench_sharded / bench_kv /
-    bench_resize / bench_faults): "scenario", "phase", "mem_sample",
-    "sharded", "shard", "kv", "resize", "fault", "pressure", "latency"
+  * kind-tagged rows: "scenario", "phase", "mem_sample", "shard" and
+    "latency" from bench_scenarios (every figure, ablation and sweep
+    preset), "net" and "conn" from bench_loadgen
   * micro rows ("bench": "...") from the microbenchmarks
-  * legacy figure rows (no tag) from print_row: ds/smr/threads/mops/...
 
 CI's smoke jobs run this gate over their artifacts so a malformed or —
 the historical failure mode — silently *empty* artifact fails the job
@@ -38,15 +37,15 @@ NUM = (int, float)
 # carve-out `"retired": true` would silently satisfy an int schema).
 BOOL_OK = {"victim_parked", "hw_valid"}
 
-# Per-op outcome breakdown shared by every row family that reports a run
-# of the KV workload loop (get hit ratio, put insert/replace split, and
+# Per-op outcome breakdown on the row families that report a run of the
+# KV workload loop (get hit ratio, put insert/replace split, and
 # the read-your-writes validation verdict).
 PER_OP = {
     "gets": int, "get_hits": int, "inserts": int, "erases": int,
     "puts": int, "put_replaced": int, "rw_violations": int,
 }
 
-# Every row (tagged, micro, and legacy alike) is stamped with the
+# Every row (tagged and micro alike) is stamped with the
 # process-wide run id and a wall-clock ms timestamp so concatenated
 # multi-run artifacts stay disambiguable.
 STAMP = {"run_id": int, "ts": int}
@@ -77,30 +76,36 @@ NET_OPS = {
 POSITIVE = {"connections", "pipeline_depth"}
 
 SCHEMAS = {
+    # One per cell. The cell's identity (structure, key range and
+    # provisioning, shard layout, the phase-0 op mix, the SMR knobs),
+    # then throughput, recovery_pct against the sweep's reference cell (0
+    # without one), memory, the fault/watchdog counters (fault is
+    # signal-loss / thread-kill / pressure / none) and the shard spread.
     "scenario": {
         **STAMP, **LAT, **HW,
         "scenario": str, "ds": str, "smr": str, "threads": int,
-        "shards": int, "seconds": NUM, "mops": NUM, "read_mops": NUM,
-        "retired": int, "freed": int, "signals_sent": int,
-        "vm_hwm_kib": int, "churn_cycles": int,
+        "shards": int, "shard_hash": str, "key_range": int,
+        "initial_capacity": int, "deficit": int, "pct_insert": int,
+        "pct_erase": int, "pct_put": int, "retire_threshold": int,
+        "epoch_freq": int, "pop_multiplier": int, "pressure_bound": int,
+        "seconds": NUM, "mops": NUM, "read_mops": NUM,
+        "recovery_pct": NUM, "retired": int, "freed": int,
+        "signals_sent": int, "vm_hwm_kib": int, "churn_cycles": int,
         "baseline_unreclaimed": int, "stall_peak_unreclaimed": int,
-        "final_unreclaimed": int, "grows": int, "shrinks": int,
-        "buckets_final": int, **PER_OP,
+        "final_unreclaimed": int, "stall_parked_at_ms": int,
+        "stall_resumed_at_ms": int, "fault": str, "kills": int,
+        "signals_suppressed": int, "first_kill_at_ms": int,
+        "recovered_at_ms": int, "waves_timed_out": int, "tids_reaped": int,
+        "orphans_adopted": int, "pressure_events": int,
+        "forced_handshakes": int, "grows": int, "shrinks": int,
+        "buckets_final": int, "pool_live_blocks": int,
+        "shard_ops_max": int, "shard_ops_min": int, **PER_OP,
     },
     "latency": {
         **STAMP,
         "scenario": str, "ds": str, "smr": str, "threads": int,
         "shards": int, "op": str, "count": int, "p50_us": NUM,
         "p90_us": NUM, "p99_us": NUM, "p999_us": NUM, "max_us": NUM,
-    },
-    "resize": {
-        **STAMP,
-        "scenario": str, "ds": str, "smr": str, "threads": int,
-        "deficit": int, "initial_capacity": int, "key_range": int,
-        "seconds": NUM, "mops": NUM, "storm_mops": NUM, "steady_mops": NUM,
-        "recovery_pct": NUM, "grows": int, "shrinks": int,
-        "buckets_final": int, "retired": int, "freed": int,
-        "final_unreclaimed": int,
     },
     "phase": {
         **STAMP, **LAT, **HW,
@@ -111,46 +116,11 @@ SCHEMAS = {
         "cycles": int, "instructions": int, "llc_misses": int,
         "ctx_switches": int, **PER_OP,
     },
-    "kv": {
-        **STAMP, **LAT,
-        "scenario": str, "ds": str, "smr": str, "threads": int,
-        "shards": int, "pct_put": int, "seconds": NUM, "mops": NUM,
-        "read_mops": NUM, "retired": int, "freed": int,
-        "signals_sent": int, "final_unreclaimed": int, "vm_hwm_kib": int,
-        **PER_OP,
-    },
-    "fault": {
-        **STAMP, **LAT,
-        "scenario": str, "ds": str, "smr": str, "threads": int,
-        "fault": str, "seconds": NUM, "mops": NUM, "kills": int,
-        "signals_suppressed": int, "first_kill_at_ms": int,
-        "recovered_at_ms": int, "waves_timed_out": int, "tids_reaped": int,
-        "orphans_adopted": int, "pressure_events": int,
-        "forced_handshakes": int, "signals_sent": int, "retired": int,
-        "freed": int, "peak_unreclaimed": int, "final_unreclaimed": int,
-    },
-    "pressure": {
-        **STAMP,
-        "scenario": str, "ds": str, "smr": str, "threads": int,
-        "pressure_bound": int, "pressure_events": int,
-        "forced_handshakes": int, "baseline_unreclaimed": int,
-        "peak_unreclaimed": int, "final_unreclaimed": int,
-        "stall_parked_at_ms": int, "stall_resumed_at_ms": int,
-        "retired": int, "freed": int,
-    },
     "mem_sample": {
         **STAMP,
         "scenario": str, "ds": str, "smr": str, "t_ms": int, "phase": int,
         "vm_rss_kib": int, "vm_hwm_kib": int, "unreclaimed": int,
         "pool_live_blocks": int, "victim_parked": int,
-    },
-    "sharded": {
-        **STAMP,
-        "scenario": str, "ds": str, "smr": str, "threads": int,
-        "shards": int, "shard_hash": str, "seconds": NUM, "mops": NUM,
-        "read_mops": NUM, "retired": int, "freed": int,
-        "signals_sent": int, "final_unreclaimed": int,
-        "pool_live_blocks": int, "shard_ops_max": int, "shard_ops_min": int,
     },
     # bench_loadgen's per-cell summary: end-to-end client-side latency
     # (the lat_* block) over every connection, plus the wire-op totals.
@@ -188,17 +158,11 @@ SCHEMAS = {
 # value must be 0 — a green artifact never carries contract violations.
 OPTIONAL = {
     "scenario": {"audit_violations": int},
-    "fault": {"audit_violations": int},
 }
 ZERO_REQUIRED = {"audit_violations"}
 
-# Untagged families, identified by a discriminating field.
+# The one untagged family, identified by its "bench" field.
 MICRO_REQUIRED = {**STAMP, "bench": str, "threads": int}
-LEGACY_REQUIRED = {
-    **STAMP, **LAT,
-    "ds": str, "smr": str, "threads": int, "mops": NUM, "read_mops": NUM,
-    "vm_hwm_kib": int, "freed": int, "signals_sent": int,
-}
 
 
 def check_fields(row, schema, where, errors):
@@ -254,8 +218,7 @@ def check_row(row, where, errors, kind_counts):
         kind_counts["micro"] = kind_counts.get("micro", 0) + 1
         check_fields(row, MICRO_REQUIRED, f"{where} [micro]", errors)
     else:
-        kind_counts["workload"] = kind_counts.get("workload", 0) + 1
-        check_fields(row, LEGACY_REQUIRED, f"{where} [workload]", errors)
+        errors.append(f"{where}: row has neither a kind nor a bench tag")
 
 
 def self_test():
@@ -286,49 +249,37 @@ def self_test():
         "op": "ping_wave", "count": 18, "p50_us": 22.4, "p90_us": 28.0,
         "p99_us": 5203.6, "p999_us": 5203.6, "max_us": 5203.6,
     }
-    resize_ok = {
-        "kind": "resize", **stamp_ok, "scenario": "grow-storm", "ds": "RHHT",
-        "smr": "EBR", "threads": 2, "deficit": 64, "initial_capacity": 256,
-        "key_range": 16384, "seconds": 0.4, "mops": 1.0, "storm_mops": 0.8,
-        "steady_mops": 1.2, "recovery_pct": 97.5, "grows": 6, "shrinks": 0,
-        "buckets_final": 4096, "retired": 6, "freed": 6,
-        "final_unreclaimed": 0,
-    }
     mem_ok = {
         "kind": "mem_sample", **stamp_ok, "scenario": "s", "ds": "HML",
         "smr": "HP",
         "t_ms": 1, "phase": 0, "vm_rss_kib": 1, "vm_hwm_kib": 1,
         "unreclaimed": 0, "pool_live_blocks": 0, "victim_parked": 0,
     }
-    fault_ok = {
-        "kind": "fault", **stamp_ok, **lat_ok, "scenario": "zombie-storm",
-        "ds": "HML",
-        "smr": "EpochPOP", "threads": 3, "fault": "thread-kill",
-        "seconds": 0.1, "mops": 2.5, "kills": 4, "signals_suppressed": 0,
-        "first_kill_at_ms": 17, "recovered_at_ms": 25, "waves_timed_out": 0,
-        "tids_reaped": 4, "orphans_adopted": 2721, "pressure_events": 0,
-        "forced_handshakes": 0, "signals_sent": 19, "retired": 45663,
-        "freed": 44258, "peak_unreclaimed": 0, "final_unreclaimed": 1405,
+    scenario_ok = {
+        "kind": "scenario", **stamp_ok, **lat_ok, "ipc": 1.1,
+        "llc_miss_rate": 0.2, "hw_valid": 1, "scenario": "resize",
+        "ds": "RHHT", "smr": "EBR", "threads": 2, "shards": 1,
+        "shard_hash": "splitmix", "key_range": 16384,
+        "initial_capacity": 256, "deficit": 64, "pct_insert": 70,
+        "pct_erase": 0, "pct_put": 20, "retire_threshold": 512,
+        "epoch_freq": 64, "pop_multiplier": 2, "pressure_bound": 0,
+        "seconds": 0.4, "mops": 1.0, "read_mops": 0.5,
+        "recovery_pct": 97.5, "retired": 6, "freed": 6, "signals_sent": 0,
+        "vm_hwm_kib": 1, "churn_cycles": 0, "baseline_unreclaimed": 0,
+        "stall_peak_unreclaimed": 0, "final_unreclaimed": 0,
+        "stall_parked_at_ms": 0, "stall_resumed_at_ms": 0,
+        "fault": "none", "kills": 0, "signals_suppressed": 0,
+        "first_kill_at_ms": 0, "recovered_at_ms": 0, "waves_timed_out": 0,
+        "tids_reaped": 0, "orphans_adopted": 0, "pressure_events": 0,
+        "forced_handshakes": 0, "grows": 6, "shrinks": 0,
+        "buckets_final": 4096, "pool_live_blocks": 100,
+        "shard_ops_max": 0, "shard_ops_min": 0, "gets": 1, "get_hits": 1,
+        "inserts": 0, "erases": 0, "puts": 0, "put_replaced": 0,
+        "rw_violations": 0,
     }
-    pressure_ok = {
-        "kind": "pressure", **stamp_ok, "scenario": "pressure-backstop",
-        "ds": "HML",
-        "smr": "EBR", "threads": 3, "pressure_bound": 3072,
-        "pressure_events": 601, "forced_handshakes": 601,
-        "baseline_unreclaimed": 3808, "peak_unreclaimed": 11360,
-        "final_unreclaimed": 3013, "stall_parked_at_ms": 33,
-        "stall_resumed_at_ms": 85, "retired": 38547, "freed": 35534,
-    }
-    scenario_hw_missing = {
-        "kind": "scenario", **stamp_ok, **lat_ok, "scenario": "s",
-        "ds": "HML", "smr": "EBR", "threads": 2, "shards": 1,
-        "seconds": 0.1, "mops": 1.0, "read_mops": 0.5, "retired": 1,
-        "freed": 1, "signals_sent": 0, "vm_hwm_kib": 1, "churn_cycles": 0,
-        "baseline_unreclaimed": 0, "stall_peak_unreclaimed": 0,
-        "final_unreclaimed": 0, "grows": 0, "shrinks": 0,
-        "buckets_final": 0, "gets": 1, "get_hits": 1, "inserts": 0,
-        "erases": 0, "puts": 0, "put_replaced": 0, "rw_violations": 0,
-    }  # deliberately lacks ipc/llc_miss_rate/hw_valid
+    fault_ok = {**scenario_ok, "scenario": "zombie-storm",
+                "fault": "thread-kill", "kills": 4, "tids_reaped": 4,
+                "orphans_adopted": 2721}
     net_ops_ok = {
         "ops": 47748, "gets": 23946, "get_hits": 11786, "puts": 11753,
         "put_replaced": 5754, "dels": 12045, "del_hits": 5992, "pings": 4,
@@ -367,38 +318,42 @@ def self_test():
          {**latency_ok, "op": 7}, False),
         ("latency row without run_id stamp",
          {k: v for k, v in latency_ok.items() if k != "run_id"}, False),
-        ("valid fault row", fault_ok, True),
-        ("fault row without the lat_* block",
+        ("valid scenario row", scenario_ok, True),
+        ("valid fault scenario row", fault_ok, True),
+        ("scenario row without the lat_* block",
          {k: v for k, v in fault_ok.items() if k != "lat_p99_us"}, False),
-        ("scenario row must carry hw fields", scenario_hw_missing, False),
+        ("scenario row must carry hw fields",
+         {k: v for k, v in scenario_ok.items() if k != "ipc"}, False),
         ("hw_valid as bool (documented bool-as-int)",
-         {**scenario_hw_missing, "ipc": 1.1, "llc_miss_rate": 0.2,
-          "hw_valid": True}, True),
+         {**scenario_ok, "hw_valid": True}, True),
         ("shard row without fault counters",
          {k: v for k, v in shard_ok.items()
           if k != "forced_handshakes"}, False),
-        ("valid pressure row", pressure_ok, True),
         ("fault name must be a string",
          {**fault_ok, "fault": 3}, False),
         ("tids_reaped as bool must be rejected",
          {**fault_ok, "tids_reaped": True}, False),
-        ("missing pressure_bound", {k: v for k, v in pressure_ok.items()
+        ("missing pressure_bound", {k: v for k, v in scenario_ok.items()
                                     if k != "pressure_bound"}, False),
-        ("valid resize row", resize_ok, True),
+        ("missing shard_ops_max", {k: v for k, v in scenario_ok.items()
+                                   if k != "shard_ops_max"}, False),
         ("valid mem_sample row", mem_ok, True),
         ("victim_parked as bool (documented bool-as-int)",
          {**mem_ok, "victim_parked": True}, True),
         ("retired as bool must be rejected",
          {**shard_ok, "retired": True}, False),
         ("recovery_pct as bool must be rejected",
-         {**resize_ok, "recovery_pct": False}, False),
-        ("missing deficit", {k: v for k, v in resize_ok.items()
+         {**scenario_ok, "recovery_pct": False}, False),
+        ("missing deficit", {k: v for k, v in scenario_ok.items()
                              if k != "deficit"}, False),
         ("unknown kind", {"kind": "nope"}, False),
+        ("resize is not a row kind", {**scenario_ok, "kind": "resize"},
+         False),
+        ("untagged row must be rejected",
+         {k: v for k, v in scenario_ok.items() if k != "kind"}, False),
         ("non-object row", [1, 2, 3], False),
         ("audited scenario row with explicit zero violations",
-         {**scenario_hw_missing, "ipc": 1.1, "llc_miss_rate": 0.2,
-          "hw_valid": 1, "audit_violations": 0}, True),
+         {**scenario_ok, "audit_violations": 0}, True),
         ("nonzero audit_violations must be rejected",
          {**fault_ok, "audit_violations": 3}, False),
         ("audit_violations as bool must be rejected",
@@ -426,10 +381,8 @@ def main():
     ap.add_argument("--require-kind", action="append", default=[],
                     metavar="KIND",
                     help="fail unless at least one row of KIND exists "
-                         "(scenario, phase, mem_sample, sharded, shard, "
-                         "kv, resize, fault, pressure, latency, net, conn, "
-                         "micro, workload); "
-                         "repeatable")
+                         "(scenario, phase, mem_sample, shard, latency, "
+                         "net, conn, micro); repeatable")
     ap.add_argument("--min-rows", type=int, default=1, metavar="N",
                     help="fail any file with fewer than N rows (default 1: "
                          "an empty artifact is a failure, not a pass)")
