@@ -3,8 +3,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <vector>
 
 #include "obs/obs.hpp"
+#include "runtime/thread_registry.hpp"
 
 namespace pop::bench {
 
@@ -19,16 +21,15 @@ void usage(const char* prog, int exit_code) {
       "          [--latency] [--hw-counters] [--trace PATH]\n"
       "          [--host ADDR] [--port N] [--connections N] [--pipeline N]\n"
       "          [--net-workers N]\n"
-      "          [--scenario NAME|all] [--short] [--list] [--help]\n"
-      "Value flags seed the matching POPSMR_BENCH_* env var; an already\n"
-      "exported var wins over the flag (CI compatibility).\n",
+      "          [--scenario NAME|all] [--short] [--list] [--help]\n",
       prog);
   std::exit(exit_code);
 }
 
-// setenv-without-override: the env layer keeps priority.
-void seed_env(const char* var, const std::string& value) {
-  ::setenv(var, value.c_str(), /*overwrite=*/0);
+[[noreturn]] void reject(const char* prog, const char* flag,
+                         const std::string& value, const char* why) {
+  std::fprintf(stderr, "%s: %s '%s' %s\n", prog, flag, value.c_str(), why);
+  std::exit(2);
 }
 
 // Accepts "--flag value" and "--flag=value"; returns the value and
@@ -51,129 +52,136 @@ bool matches(const char* arg, const char* flag) {
          (arg[flen] == '\0' || arg[flen] == '=');
 }
 
+bool ident_char(char c) {
+  return (c >= 'A' && c <= 'Z') || (c >= 'a' && c <= 'z') ||
+         (c >= '0' && c <= '9') || c == '_' || c == '-';
+}
+
 // Identifier flags (scheme / structure / scenario / hash names) travel
-// into env vars, JSONL string fields, and factory lookups verbatim, so
-// they are validated here at the parse boundary: names are restricted to
-// [A-Za-z0-9_-], plus ',' as the separator where the flag takes a list.
-// Anything else (a stray quote, a path, a shell glob that expanded) is
-// diagnosed on one line and rejected before it can seed an env var.
+// into factory lookups and JSONL string fields verbatim, so names are
+// restricted to [A-Za-z0-9_-]. Anything else (a stray quote, a path, a
+// shell glob that expanded) is rejected here.
 std::string checked_ident(std::string value, const char* flag,
-                          const char* prog, bool list_ok) {
-  for (const char c : value) {
-    const bool ok = (c >= 'A' && c <= 'Z') || (c >= 'a' && c <= 'z') ||
-                    (c >= '0' && c <= '9') || c == '_' || c == '-' ||
-                    (list_ok && c == ',');
-    if (!ok) {
-      std::fprintf(stderr,
-                   "%s: %s '%s' has invalid character '%c' (allowed: "
-                   "A-Za-z0-9_-%s)\n",
-                   prog, flag, value.c_str(), c, list_ok ? " and ','" : "");
-      std::exit(2);
-    }
-  }
+                          const char* prog) {
+  bool ok = !value.empty();
+  for (const char c : value) ok = ok && ident_char(c);
+  if (!ok) reject(prog, flag, value, "is not a name (allowed: A-Za-z0-9_-)");
   return value;
 }
 
 // Host names travel into connect()/bind() and JSONL labels: the ident
-// charset plus '.' (dotted quads, DNS labels). Rejected on one line like
-// every other malformed flag value.
+// charset plus '.' (dotted quads, DNS labels).
 std::string checked_host(std::string value, const char* flag,
                          const char* prog) {
   bool ok = !value.empty();
-  for (const char c : value) {
-    ok = ok && ((c >= 'A' && c <= 'Z') || (c >= 'a' && c <= 'z') ||
-                (c >= '0' && c <= '9') || c == '_' || c == '-' || c == '.');
-  }
+  for (const char c : value) ok = ok && (ident_char(c) || c == '.');
   if (!ok) {
-    std::fprintf(stderr,
-                 "%s: %s '%s' is not a host name (allowed: A-Za-z0-9_-.)\n",
-                 prog, flag, value.c_str());
-    std::exit(2);
+    reject(prog, flag, value, "is not a host name (allowed: A-Za-z0-9_-.)");
   }
   return value;
 }
 
-// Small non-negative integer flags (--port, --connections, ...): digits
-// only, bounded. "8x", "-1", or an empty value is a one-line diagnosis,
-// not a silent 0.
-std::string checked_uint(std::string value, const char* flag, const char* prog,
-                         long lo, long hi) {
+// Non-negative integer flags: digits only, bounded. "8x", "-1", or an
+// empty value is a one-line diagnosis, not a silent 0.
+long checked_uint(const std::string& value, const char* flag,
+                  const char* prog, long lo, long hi) {
   bool digits = !value.empty() && value.size() <= 10;
   for (const char c : value) digits = digits && c >= '0' && c <= '9';
   const long v = digits ? std::strtol(value.c_str(), nullptr, 10) : -1;
   if (!digits || v < lo || v > hi) {
-    std::fprintf(stderr, "%s: %s '%s' is not an integer in [%ld, %ld]\n", prog,
-                 flag, value.c_str(), lo, hi);
-    std::exit(2);
+    char why[64];
+    std::snprintf(why, sizeof why, "is not an integer in [%ld, %ld]", lo, hi);
+    reject(prog, flag, value, why);
   }
-  return value;
+  return v;
+}
+
+std::vector<std::string> split_csv(const std::string& raw) {
+  std::vector<std::string> out;
+  size_t start = 0;
+  for (size_t comma; (comma = raw.find(',', start)) != std::string::npos;
+       start = comma + 1) {
+    out.push_back(raw.substr(start, comma - start));
+  }
+  out.push_back(raw.substr(start));
+  return out;
+}
+
+// Comma lists: every entry passes its scalar check, so "1,,2" and
+// "HML,../x" are rejected whole, not trimmed.
+std::vector<std::string> ident_list(const std::string& raw, const char* flag,
+                                    const char* prog) {
+  std::vector<std::string> out;
+  for (auto& tok : split_csv(raw)) {
+    if (tok.empty()) reject(prog, flag, raw, "has an empty entry");
+    out.push_back(checked_ident(std::move(tok), flag, prog));
+  }
+  return out;
+}
+
+std::vector<int> int_list(const std::string& raw, const char* flag,
+                          const char* prog, long lo, long hi) {
+  std::vector<int> out;
+  for (const auto& tok : split_csv(raw)) {
+    out.push_back(static_cast<int>(checked_uint(tok, flag, prog, lo, hi)));
+  }
+  return out;
 }
 
 }  // namespace
 
-CliOptions apply_bench_cli(int argc, char** argv) {
-  CliOptions out;
+BenchOptions apply_bench_cli(int argc, char** argv) {
+  BenchOptions out;
   const char* prog = argc > 0 ? argv[0] : "bench";
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
+    // The value of the flag `arg` matches; consumes a detached one.
+    const auto value = [&](const char* flag) {
+      return flag_value(argc, argv, &i, flag, prog);
+    };
     if (matches(arg, "--threads")) {
-      seed_env("POPSMR_BENCH_THREADS",
-               flag_value(argc, argv, &i, "--threads", prog));
-    } else if (matches(arg, "--smr") || matches(arg, "--smrs")) {
-      const char* flag = matches(arg, "--smrs") ? "--smrs" : "--smr";
-      seed_env("POPSMR_BENCH_SMRS",
-               checked_ident(flag_value(argc, argv, &i, flag, prog), flag,
-                             prog, /*list_ok=*/true));
+      out.axes.threads =
+          int_list(value("--threads"), "--threads", prog, 1,
+                   runtime::kMaxThreads);
+    } else if (matches(arg, "--smr")) {
+      out.axes.smrs = ident_list(value("--smr"), "--smr", prog);
     } else if (matches(arg, "--ds")) {
-      seed_env("POPSMR_BENCH_DS",
-               checked_ident(flag_value(argc, argv, &i, "--ds", prog), "--ds",
-                             prog, /*list_ok=*/true));
+      out.axes.ds = ident_list(value("--ds"), "--ds", prog);
     } else if (matches(arg, "--shards")) {
-      seed_env("POPSMR_BENCH_SHARDS",
-               flag_value(argc, argv, &i, "--shards", prog));
+      out.axes.shards = int_list(value("--shards"), "--shards", prog, 1, 4096);
     } else if (matches(arg, "--shard-hash")) {
-      seed_env("POPSMR_SHARD_HASH",
-               checked_ident(flag_value(argc, argv, &i, "--shard-hash", prog),
-                             "--shard-hash", prog, /*list_ok=*/false));
+      out.axes.shard_hash =
+          checked_ident(value("--shard-hash"), "--shard-hash", prog);
     } else if (matches(arg, "--duration-ms")) {
-      seed_env("POPSMR_BENCH_DURATION_MS",
-               flag_value(argc, argv, &i, "--duration-ms", prog));
+      out.axes.duration_ms = static_cast<uint64_t>(checked_uint(
+          value("--duration-ms"), "--duration-ms", prog, 1, 86400000));
     } else if (matches(arg, "--json")) {
-      seed_env("POPSMR_BENCH_JSON",
-               flag_value(argc, argv, &i, "--json", prog));
+      out.json = value("--json");  // a path, not an identifier
     } else if (std::strcmp(arg, "--latency") == 0) {
-      seed_env("POPSMR_OBS_LATENCY", "1");
+      out.latency = true;
     } else if (std::strcmp(arg, "--hw-counters") == 0) {
-      seed_env("POPSMR_OBS_HW", "1");
+      out.hw_counters = true;
     } else if (matches(arg, "--trace")) {
-      // A path, not an identifier: no checked_ident.
-      seed_env("POPSMR_TRACE", flag_value(argc, argv, &i, "--trace", prog));
+      out.trace = value("--trace");
     } else if (matches(arg, "--host")) {
-      seed_env("POPSMR_BENCH_HOST",
-               checked_host(flag_value(argc, argv, &i, "--host", prog),
-                            "--host", prog));
+      out.host = checked_host(value("--host"), "--host", prog);
     } else if (matches(arg, "--port")) {
-      seed_env("POPSMR_BENCH_PORT",
-               checked_uint(flag_value(argc, argv, &i, "--port", prog),
-                            "--port", prog, 0, 65535));
+      out.port = static_cast<int>(
+          checked_uint(value("--port"), "--port", prog, 0, 65535));
     } else if (matches(arg, "--connections")) {
-      seed_env("POPSMR_BENCH_CONNECTIONS",
-               checked_uint(flag_value(argc, argv, &i, "--connections", prog),
-                            "--connections", prog, 1, 4096));
+      out.connections = static_cast<int>(
+          checked_uint(value("--connections"), "--connections", prog, 1,
+                       4096));
     } else if (matches(arg, "--pipeline")) {
-      seed_env("POPSMR_BENCH_PIPELINE",
-               checked_uint(flag_value(argc, argv, &i, "--pipeline", prog),
-                            "--pipeline", prog, 1, 4096));
+      out.pipeline = static_cast<int>(
+          checked_uint(value("--pipeline"), "--pipeline", prog, 1, 4096));
     } else if (matches(arg, "--net-workers")) {
-      seed_env("POPSMR_NET_WORKERS",
-               checked_uint(flag_value(argc, argv, &i, "--net-workers", prog),
-                            "--net-workers", prog, 1, 256));
+      out.net_workers = static_cast<int>(
+          checked_uint(value("--net-workers"), "--net-workers", prog, 1, 256));
     } else if (matches(arg, "--scenario")) {
-      out.scenario =
-          checked_ident(flag_value(argc, argv, &i, "--scenario", prog),
-                        "--scenario", prog, /*list_ok=*/false);
+      out.scenario = checked_ident(value("--scenario"), "--scenario", prog);
     } else if (std::strcmp(arg, "--short") == 0) {
-      out.short_mode = true;
+      out.axes.short_mode = true;
     } else if (std::strcmp(arg, "--list") == 0) {
       out.list = true;
     } else if (std::strcmp(arg, "--help") == 0 ||
@@ -184,9 +192,11 @@ CliOptions apply_bench_cli(int argc, char** argv) {
       usage(prog, 2);
     }
   }
-  // Resolve the observability channels now (env wins over the flags just
-  // seeded, like every other knob), and register the end-of-process trace
-  // dump once if tracing came up armed.
+  if (out.latency) obs::set_latency(true);
+  if (out.hw_counters) obs::set_hw(true);
+  if (!out.trace.empty()) obs::arm_trace(out.trace);
+  // Resolve the channels no flag set (the library's POPSMR_OBS_* /
+  // POPSMR_TRACE knobs), and dump the trace at exit if one is armed.
   obs::init_from_env();
   if (obs::trace_on()) {
     static bool dump_registered = false;

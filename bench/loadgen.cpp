@@ -1,45 +1,45 @@
 // bench_loadgen: the socket loadgen for the networked front end. Replays
-// a named scenario's op mixes and key distributions (the same registry
-// bench_scenarios sweeps — see src/workload/scenarios.hpp) over M
+// the cells of a named scenario's sweep — the same registry and axes
+// bench_scenarios runs (see src/workload/scenarios.hpp) — over M
 // connections x P-deep pipelines against a popsmr server, measuring
 // END-TO-END latency: encode + socket + epoll + framing + the batched
 // map ops + the response path, as a client of a pipelined connection
 // experiences it.
 //
 // Two modes:
-//   * in-process (default): each (ds, smr) cell spawns its own NetServer
-//     on an ephemeral loopback port, runs the cell, tears it down — the
-//     full sweep works in one process with zero setup.
+//   * in-process (default): each cell (ds x smr x shards) spawns its own
+//     NetServer on an ephemeral loopback port, runs the cell, tears it
+//     down — the full sweep works in one process with zero setup.
 //   * remote (--host set, e.g. --host 127.0.0.1 --port 17979): drives an
-//     already-running popsmr_server; one cell, labelled with the local
-//     --ds/--smr flags (the wire protocol does not carry the server's).
+//     already-running popsmr_server; the sweep's first cell only,
+//     labelled with the local --ds/--smr flags (the wire protocol does
+//     not carry the server's).
 //
 //   bench_loadgen --ds HMHT,RHHT --smr EBR,EpochPOP --connections 4
 //                 --pipeline 8 --short --json net.jsonl
 //   bench_loadgen --scenario hotspot-churn --connections 16 --pipeline 32
 //
-// Wire-op mapping from the scenario mix: pct_insert + pct_put -> PUT
-// (the wire has no insert-if-absent), pct_erase -> DEL, remainder ->
-// GET; plus one PING per connection per phase start. With
-// POPSMR_BENCH_JSON set, every cell appends one kind-tagged "net"
-// summary row and one "conn" row per connection.
+// --ds defaults to HMHT and --smr to every scheme; one connection per
+// cell thread. Wire-op mapping from the scenario mix: pct_insert +
+// pct_put -> PUT (the wire has no insert-if-absent), pct_erase -> DEL,
+// remainder -> GET; plus one PING per connection per phase start. With
+// --json set, every cell appends one kind-tagged "net" summary row and
+// one "conn" row per connection.
 #include <cstdio>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cli.hpp"
-#include "driver.hpp"
 #include "net/client.hpp"
-#include "net/net_jsonl.hpp"
 #include "net/server.hpp"
 #include "obs/latency_histo.hpp"
 #include "obs/obs.hpp"
-#include "runtime/env.hpp"
 #include "runtime/rng.hpp"
+#include "workload/jsonl.hpp"
 #include "workload/key_dist.hpp"
-#include "workload/scenario_engine.hpp"
 #include "workload/scenarios.hpp"
 
 namespace {
@@ -152,42 +152,23 @@ void print_header(const std::string& scenario) {
   std::fflush(stdout);
 }
 
-// One (ds, smr) cell: spins up / connects, prefills, replays every
-// phase, emits the table row + JSONL. Returns false on a hard failure
-// (server refused to build, no connection survived).
-bool run_cell(const std::string& scenario, const std::string& ds,
-              const std::string& smr, int shards, int workers,
-              int connections, int pipeline, const std::string& host,
-              int port, double time_scale, uint64_t key_range,
-              const std::string& json) {
-  ScenarioBuild b;
-  b.ds = ds;
-  b.smr = smr;
-  b.threads = connections;
-  b.time_scale = time_scale;
-  b.key_range = key_range;
-  b.shards = shards;
-  auto maybe_spec = make_scenario(scenario, b);
-  if (!maybe_spec) {
-    std::fprintf(stderr, "bench_loadgen: unknown scenario '%s' (try --list)\n",
-                 scenario.c_str());
-    return false;
-  }
-  ScenarioSpec spec = *maybe_spec;
-  for (const auto& w : normalize(spec)) {
-    std::fprintf(stderr, "bench_loadgen %s: %s\n", scenario.c_str(), w.c_str());
-  }
+// One sweep cell: spins up / connects, prefills, replays every phase,
+// emits the table row + JSONL. Returns false on a hard failure (server
+// refused to build, no connection survived).
+bool run_cell(const ScenarioSpec& spec, const BenchOptions& opts) {
+  const int connections = spec.threads;
+  const int pipeline = opts.pipeline;
 
   // In-process server per cell unless a remote host was given.
   std::unique_ptr<net::NetServer> server;
-  std::string target_host = host;
-  uint16_t target_port = static_cast<uint16_t>(port);
-  if (host.empty()) {
+  std::string target_host = opts.host;
+  uint16_t target_port = static_cast<uint16_t>(opts.port);
+  if (opts.host.empty()) {
     net::NetServerConfig cfg;
-    cfg.ds = ds;
-    cfg.smr = smr;
+    cfg.ds = spec.ds;
+    cfg.smr = spec.smr;
     cfg.shards = spec.shards;
-    cfg.workers = workers;
+    cfg.workers = opts.net_workers;
     cfg.port = 0;  // ephemeral
     cfg.set.capacity = spec.key_range;
     cfg.set.load_factor = spec.load_factor;
@@ -218,12 +199,7 @@ bool run_cell(const std::string& scenario, const std::string& ds,
     clients.push_back(std::move(cl));
   }
 
-  // spec.prefill's UINT64_MAX sentinel means "default": the engine
-  // resolves it at prefill time (key_range / 2), not in normalize() —
-  // mirror that here or the wire prefill would try to insert 2^64 keys.
-  const uint64_t prefill =
-      spec.prefill == UINT64_MAX ? spec.key_range / 2 : spec.prefill;
-  if (!prefill_over_wire(clients[0].get(), prefill, pipeline)) {
+  if (!prefill_over_wire(clients[0].get(), prefill_keys(spec), pipeline)) {
     std::fprintf(stderr, "bench_loadgen: prefill failed (%s:%u)\n",
                  target_host.c_str(), unsigned{target_port});
     return false;
@@ -249,48 +225,40 @@ bool run_cell(const std::string& scenario, const std::string& ds,
   clients.clear();  // close before the server tears down
   if (server) server->stop();
 
-  net::NetCellRow cell;
-  cell.scenario = spec.name;
-  cell.ds = ds;
-  cell.smr = smr;
-  cell.workers = workers;
-  cell.shards = spec.shards;
-  cell.connections = connections;
-  cell.pipeline_depth = pipeline;
-  cell.seconds = seconds;
+  service::ConnectionStats totals;
   obs::HistoSnapshot merged;
-  std::vector<net::ConnRow> conn_rows;
+  std::vector<std::pair<service::ConnectionStats, obs::LatencySummary>> conns;
   int failed = 0;
   for (auto& o : outcomes) {
-    cell.totals.accumulate(o.stats);
+    totals.accumulate(o.stats);
     merged.merge(o.histo);
-    conn_rows.push_back({o.stats, obs::summarize(o.histo)});
+    conns.emplace_back(o.stats, obs::summarize(o.histo));
     if (o.failed) failed++;
   }
-  cell.latency = obs::summarize(merged);
+  const obs::LatencySummary latency = obs::summarize(merged);
   // A connection that died mid-run is an error even if the server never
   // saw a malformed frame; surface it in the row's error column.
-  cell.totals.protocol_errors += static_cast<uint64_t>(failed);
+  totals.protocol_errors += static_cast<uint64_t>(failed);
 
   std::printf("%-5s %-13s %4d %6d %5d %5d %8.3f %9.1f %9.1f %9.1f %7llu\n",
-              ds.c_str(), smr.c_str(), workers, cell.shards, connections,
-              pipeline,
-              seconds > 0
-                  ? static_cast<double>(cell.totals.ops) / seconds / 1e6
-                  : 0.0,
-              cell.latency.p50_us, cell.latency.p99_us, cell.latency.p999_us,
-              static_cast<unsigned long long>(cell.totals.protocol_errors));
+              spec.ds.c_str(), spec.smr.c_str(), opts.net_workers,
+              spec.shards, connections, pipeline,
+              seconds > 0 ? static_cast<double>(totals.ops) / seconds / 1e6
+                          : 0.0,
+              latency.p50_us, latency.p99_us, latency.p999_us,
+              static_cast<unsigned long long>(totals.protocol_errors));
   std::fflush(stdout);
-  net::emit_net_jsonl(json, cell, conn_rows);
+  emit_net_jsonl(opts.json, spec, opts.net_workers, pipeline, seconds, totals,
+                 latency, conns);
   return failed < connections;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const CliOptions cli = apply_bench_cli(argc, argv);
+  const BenchOptions opts = apply_bench_cli(argc, argv);
 
-  if (cli.list) {
+  if (opts.list) {
     for (const auto& name : scenario_names()) {
       std::printf("%-22s %s\n", name.c_str(),
                   scenario_description(name).c_str());
@@ -299,33 +267,22 @@ int main(int argc, char** argv) {
   }
 
   const std::string scenario =
-      cli.scenario.empty() ? "uniform-mixed" : cli.scenario;
-  const std::string host = bench_host("");
-  const int port = bench_port(17979);
-  const int connections = bench_connections(4);
-  const int pipeline = bench_pipeline(8);
-  const int workers = bench_net_workers(2);
-  const int shards = bench_shard_list("1")[0];
-  const std::string json = runtime::env_str("POPSMR_BENCH_JSON", "");
-  const double time_scale = cli.short_mode ? 0.25 : 1.0;
-  const uint64_t key_range = cli.short_mode ? 512 : 0;
+      opts.scenario.empty() ? "uniform-mixed" : opts.scenario;
+  SweepAxes axes = opts.axes;
+  if (axes.ds.empty()) axes.ds = {"HMHT"};
+  axes.threads = {opts.connections};
+  const auto sweep = make_sweep(scenario, axes);
+  if (!sweep) {
+    std::fprintf(stderr, "bench_loadgen: unknown scenario '%s' (try --list)\n",
+                 scenario.c_str());
+    return 2;
+  }
 
   print_header(scenario);
   bool ok = true;
-  if (!host.empty()) {
-    // Remote mode: one cell against the given server; labels come from
-    // the local flags (first list entries).
-    ok = run_cell(scenario, bench_ds_list("HMHT")[0], bench_smr_list()[0],
-                  shards, workers, connections, pipeline, host, port,
-                  time_scale, key_range, json);
-  } else {
-    for (const auto& ds : bench_ds_list("HMHT")) {
-      for (const auto& smr : bench_smr_list()) {
-        ok = run_cell(scenario, ds, smr, shards, workers, connections,
-                      pipeline, host, port, time_scale, key_range, json) &&
-             ok;
-      }
-    }
+  for (const auto& cell : sweep->cells) {
+    ok = run_cell(cell.spec, opts) && ok;
+    if (!opts.host.empty()) break;  // remote: one server, one cell
   }
   return ok ? 0 : 1;
 }

@@ -14,9 +14,9 @@
 // oversubscription), and the reported speedup is the median of per-round
 // ratios.
 //
-// Knobs: POPSMR_BENCH_THREADS (default "8"), POPSMR_MICRO_BLOCKS (blocks
-// per thread per round, default 4096), POPSMR_MICRO_ROUNDS (default 25),
-// POPSMR_BENCH_JSON (append one JSON object per row).
+// Flags: --threads (default 8), --short (5 rounds instead of 25), --json
+// (append one JSON object per row). Each thread frees 4096 blocks per
+// round.
 #include <time.h>
 
 #include <algorithm>
@@ -28,9 +28,7 @@
 #include <vector>
 
 #include "cli.hpp"
-#include "driver.hpp"
 #include "obs/obs.hpp"
-#include "runtime/env.hpp"
 #include "runtime/pool_alloc.hpp"
 
 namespace {
@@ -186,12 +184,12 @@ PairResult run(int threads, uint64_t blocks, uint64_t rounds) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  pop::bench::apply_bench_cli(argc, argv);
-  using namespace pop::runtime;
-  const auto thread_list = pop::bench::bench_thread_list("8");
-  const uint64_t blocks = env_u64("POPSMR_MICRO_BLOCKS", 4096);
-  const uint64_t rounds = std::max<uint64_t>(env_u64("POPSMR_MICRO_ROUNDS", 25), 1);
-  const std::string json_path = env_str("POPSMR_BENCH_JSON", "");
+  const pop::bench::BenchOptions opts = pop::bench::apply_bench_cli(argc, argv);
+  const std::vector<int> thread_list =
+      opts.axes.threads.empty() ? std::vector<int>{8} : opts.axes.threads;
+  constexpr uint64_t blocks = 4096;
+  const uint64_t rounds = opts.axes.short_mode ? 5 : 25;
+  const std::string& json_path = opts.json;
 
   std::printf("# micro_free_batch: cross-thread free throughput, %llu x %llu"
               " 64B blocks/thread (median of interleaved rounds)\n",

@@ -56,4 +56,12 @@ BENCHMARK_TEMPLATE(BM_ProtectChain, pop::core::HazardPtrPopDomain);
 BENCHMARK_TEMPLATE(BM_ProtectChain, pop::core::HazardEraPopDomain);
 BENCHMARK_TEMPLATE(BM_ProtectChain, pop::core::EpochPopDomain);
 
-BENCHMARK_MAIN();
+// Google Benchmark owns this binary's flags; an unknown one exits 2 like
+// every other bench binary's malformed flag.
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 2;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

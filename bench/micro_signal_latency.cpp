@@ -12,13 +12,12 @@
 
 #include "cli.hpp"
 #include "core/pop_engine.hpp"
-#include "runtime/env.hpp"
 #include "runtime/thread_registry.hpp"
 
 int main(int argc, char** argv) {
   using namespace pop;
   bench::apply_bench_cli(argc, argv);
-  const uint64_t rounds = runtime::env_u64("POPSMR_BENCH_ROUNDS", 200);
+  constexpr uint64_t rounds = 200;
   std::printf("# ping_all_and_wait latency vs peer threads (%llu rounds)\n",
               static_cast<unsigned long long>(rounds));
   std::printf("%8s %14s %14s\n", "peers", "mean_us", "max_us");

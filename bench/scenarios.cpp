@@ -2,10 +2,10 @@
 // skewed, phased, churning, stalling, sharded or faulty workloads — or a
 // preset: the paper's figures and ablations and the kv put-ratio, resize
 // deficit and crash-fault sweeps (src/workload/scenarios.cpp holds them
-// as data). Each cell prints one line per phase and, with
-// POPSMR_BENCH_JSON (or --json) set, appends its kind-tagged JSON Lines:
-// one "scenario" summary, one "phase" row per phase, one "mem_sample" row
-// per timeline point, plus "latency" and "shard" rows when recorded.
+// as data). Each cell prints one line per phase and, with --json set,
+// appends its kind-tagged JSON Lines: one "scenario" summary, one "phase"
+// row per phase, one "mem_sample" row per timeline point, plus "latency"
+// and "shard" rows when recorded.
 //
 //   bench_scenarios --list
 //   bench_scenarios --scenario fig2 --smr EBR,EpochPOP --threads 2
@@ -23,8 +23,6 @@
 #include <vector>
 
 #include "cli.hpp"
-#include "driver.hpp"
-#include "runtime/env.hpp"
 #include "workload/jsonl.hpp"
 #include "workload/scenario_engine.hpp"
 #include "workload/scenarios.hpp"
@@ -91,7 +89,7 @@ void print_cell(const ScenarioSpec& spec, const ScenarioResult& r,
                 static_cast<unsigned long long>(r.smr.forced_handshakes),
                 static_cast<unsigned long long>(r.recovered_at_ms));
   }
-  // Per-kind latency percentiles when --latency / POPSMR_OBS_LATENCY
+  // Per-kind latency percentiles when --latency (or POPSMR_OBS_LATENCY)
   // recorded anything (reclamation kinds included).
   for (const auto& L : r.latency) {
     std::printf("      %-13s lat %-9s n=%-9llu p50=%.1fus p90=%.1fus "
@@ -106,9 +104,9 @@ void print_cell(const ScenarioSpec& spec, const ScenarioResult& r,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const CliOptions cli = apply_bench_cli(argc, argv);
+  const BenchOptions opts = apply_bench_cli(argc, argv);
 
-  if (cli.list) {
+  if (opts.list) {
     for (const auto* names : {&scenario_names(), &preset_names()}) {
       for (const auto& name : *names) {
         std::printf("%-26s %s\n", name.c_str(),
@@ -118,26 +116,14 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  SweepAxes axes;
-  axes.ds = bench_ds_list("");
-  if (!runtime::env_str("POPSMR_BENCH_SMRS", "").empty()) {
-    axes.smrs = bench_smr_list();
-  }
-  axes.threads = bench_thread_list("");
-  axes.shards = bench_shard_list("");
-  axes.shard_hash = runtime::env_str("POPSMR_SHARD_HASH", "");
-  axes.duration_ms = bench_duration_ms(0);
-  axes.short_mode = cli.short_mode;
-
   std::vector<std::string> selected;
-  if (cli.scenario.empty() || cli.scenario == "all") {
+  if (opts.scenario.empty() || opts.scenario == "all") {
     selected = scenario_names();
   } else {
-    selected.push_back(cli.scenario);
+    selected.push_back(opts.scenario);
   }
-  const std::string json = runtime::env_str("POPSMR_BENCH_JSON", "");
   for (const auto& name : selected) {
-    const auto sweep = make_sweep(name, axes);
+    const auto sweep = make_sweep(name, opts.axes);
     if (!sweep) {
       std::fprintf(stderr, "unknown scenario '%s' (try --list)\n",
                    name.c_str());
@@ -157,7 +143,7 @@ int main(int argc, char** argv) {
     run_sweep(*sweep, [&](const ScenarioSpec& spec, const ScenarioResult& r,
                           double recovery_pct) {
       print_cell(spec, r, recovery_pct);
-      emit_scenario_jsonl(json, spec, r, recovery_pct);
+      emit_scenario_jsonl(opts.json, spec, r, recovery_pct);
     });
   }
   return 0;

@@ -4,12 +4,13 @@
 //
 //   popsmr_server --port 17979 --ds HMHT --smr EpochPOP --shards 4
 //                 --net-workers 2
-//   POPSMR_BENCH_PORT=0 popsmr_server          # ephemeral port, printed
+//   popsmr_server --port 0                     # ephemeral port, printed
 //
-// The list-valued sweep knobs (--ds/--smr/--shards) are shared with the
+// The list-valued sweep flags (--ds/--smr/--shards) are shared with the
 // bench binaries; a server is one cell, so only the first entry of each
-// list is used. On shutdown the served-op totals are printed to stdout
-// (the loadgen emits the JSONL rows — the client side is where
+// list is used (defaults: HMHT, the first scheme, 1 shard). The map keeps
+// SetConfig's default 64K-key provisioning. On shutdown the served-op totals are printed
+// to stdout (the loadgen emits the JSONL rows — the client side is where
 // end-to-end latency is observable).
 #include <signal.h>
 
@@ -19,9 +20,8 @@
 #include <thread>
 
 #include "cli.hpp"
-#include "driver.hpp"
+#include "ds/iset.hpp"
 #include "net/server.hpp"
-#include "runtime/env.hpp"
 
 namespace {
 
@@ -33,17 +33,16 @@ void on_signal(int) { g_stop.store(true, std::memory_order_release); }
 
 int main(int argc, char** argv) {
   using namespace pop;
-  const bench::CliOptions cli = bench::apply_bench_cli(argc, argv);
-  (void)cli;
+  const bench::BenchOptions opts = bench::apply_bench_cli(argc, argv);
+  const auto& axes = opts.axes;
 
   net::NetServerConfig cfg;
-  cfg.ds = bench::bench_ds_list("HMHT")[0];
-  cfg.smr = bench::bench_smr_list()[0];
-  cfg.shards = bench::bench_shard_list("1")[0];
-  cfg.workers = bench::bench_net_workers(2);
-  cfg.host = bench::bench_host("127.0.0.1");
-  cfg.port = static_cast<uint16_t>(bench::bench_port(17979));
-  cfg.set.capacity = runtime::env_u64("POPSMR_BENCH_KEY_RANGE", 1 << 16);
+  cfg.ds = axes.ds.empty() ? "HMHT" : axes.ds[0];
+  cfg.smr = axes.smrs.empty() ? ds::all_smr_names()[0] : axes.smrs[0];
+  cfg.shards = axes.shards.empty() ? 1 : axes.shards[0];
+  cfg.workers = opts.net_workers;
+  cfg.host = opts.host.empty() ? "127.0.0.1" : opts.host;
+  cfg.port = static_cast<uint16_t>(opts.port);
 
   auto server = net::NetServer::create(cfg);
   if (!server) return 2;

@@ -7,8 +7,8 @@
 // that cost under 2% of a ~100 ns op. Compiling with -DPOPSMR_OBS_DISABLE
 // turns kEnabled into a constexpr false and the hooks into true no-ops.
 //
-// Channels and their knobs (CLI flags in bench/cli.hpp seed the env vars
-// without overriding, so CI env wins, same as every other bench knob):
+// Channels and their knobs (the bench flags in bench/cli.hpp switch a
+// channel on directly; the env var is read only when no flag set it):
 //   latency   POPSMR_OBS_LATENCY=1   / --latency      / ScenarioSpec.obs
 //   tracing   POPSMR_TRACE=<path>    / --trace <path>
 //   hardware  POPSMR_OBS_HW=1       / --hw-counters  / ScenarioSpec.obs

@@ -1,9 +1,11 @@
-// JSON Lines emission for scenario runs — the one in-process row writer:
-// one "scenario" summary row per cell, one "phase" row per phase, one
+// JSON Lines emission, the one row writer. A scenario run appends one
+// "scenario" summary row per cell, one "phase" row per phase, one
 // "mem_sample" row per timeline point, one "latency" row per recorded op
-// kind and one "shard" row per shard, all appended to POPSMR_BENCH_JSON —
-// a `kind` field keeps the streams separable. Values are numbers and
-// [A-Za-z0-9_-] identifiers only, so no string escaping is needed.
+// kind and one "shard" row per shard; a bench_loadgen cell appends one
+// "net" row and one "conn" row per connection. All go to the --json path
+// of the bench binary — a `kind` field keeps the streams separable.
+// Values are numbers and [A-Za-z0-9_-] identifiers only, so no string
+// escaping is needed.
 //
 // Every row leads with the same stamp: `run_id` (process-wide, wall-clock
 // ns at first use — monotonic across successive runs) and `ts` (per-row
@@ -16,8 +18,11 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "obs/obs.hpp"
+#include "service/service_stats.hpp"
 #include "workload/scenario.hpp"
 
 namespace pop::workload {
@@ -249,6 +254,72 @@ inline void emit_scenario_jsonl(const std::string& path,
 
   emit_latency_rows(f, spec, r);
   emit_shard_rows(f, spec, r);
+  std::fclose(f);
+}
+
+// The wire-op counter block of the "net" and "conn" rows (trailing comma).
+inline void emit_net_counter_fields(std::FILE* f,
+                                    const service::ConnectionStats& s) {
+  std::fprintf(
+      f,
+      "\"ops\":%llu,\"gets\":%llu,\"get_hits\":%llu,\"puts\":%llu,"
+      "\"put_replaced\":%llu,\"dels\":%llu,\"del_hits\":%llu,"
+      "\"pings\":%llu,\"errors\":%llu,",
+      static_cast<unsigned long long>(s.ops),
+      static_cast<unsigned long long>(s.gets),
+      static_cast<unsigned long long>(s.get_hits),
+      static_cast<unsigned long long>(s.puts),
+      static_cast<unsigned long long>(s.put_replaced),
+      static_cast<unsigned long long>(s.dels),
+      static_cast<unsigned long long>(s.del_hits),
+      static_cast<unsigned long long>(s.pings),
+      static_cast<unsigned long long>(s.protocol_errors));
+}
+
+// A bench_loadgen cell replays `spec` over the wire, one connection per
+// spec thread. Its "net" row carries the op outcomes summed over the
+// connections (`totals`), the client-side latency of every request and
+// the server's epoll `workers` as its `threads` column; then one "conn"
+// row per connection (its counters and latency).
+inline void emit_net_jsonl(
+    const std::string& path, const ScenarioSpec& spec, int workers,
+    int pipeline_depth, double seconds,
+    const service::ConnectionStats& totals, const obs::LatencySummary& latency,
+    const std::vector<std::pair<service::ConnectionStats,
+                                obs::LatencySummary>>& conns) {
+  if (path.empty()) return;
+  std::FILE* f = std::fopen(path.c_str(), "a");
+  if (f == nullptr) return;
+  const char* nm = spec.name.c_str();
+  const char* ds = spec.ds.c_str();
+  const char* smr = spec.smr.c_str();
+
+  begin_row(f, "net");
+  emit_latency_fields(f, latency);
+  emit_net_counter_fields(f, totals);
+  const double mops =
+      seconds > 0.0 ? static_cast<double>(totals.ops) / seconds / 1e6 : 0.0;
+  std::fprintf(
+      f,
+      "\"scenario\":\"%s\",\"ds\":\"%s\",\"smr\":\"%s\",\"threads\":%d,"
+      "\"shards\":%d,\"connections\":%d,\"pipeline_depth\":%d,"
+      "\"seconds\":%.6f,\"mops\":%.6f}\n",
+      nm, ds, smr, workers, spec.shards, spec.threads, pipeline_depth,
+      seconds, mops);
+
+  for (const auto& [stats, lat] : conns) {
+    begin_row(f, "conn");
+    emit_net_counter_fields(f, stats);
+    std::fprintf(
+        f,
+        "\"scenario\":\"%s\",\"ds\":\"%s\",\"smr\":\"%s\",\"conn\":%llu,"
+        "\"connections\":%d,\"pipeline_depth\":%d,\"p50_us\":%.3f,"
+        "\"p90_us\":%.3f,\"p99_us\":%.3f,\"p999_us\":%.3f,"
+        "\"max_us\":%.3f}\n",
+        nm, ds, smr, static_cast<unsigned long long>(stats.conn_id),
+        spec.threads, pipeline_depth, lat.p50_us, lat.p90_us, lat.p99_us,
+        lat.p999_us, lat.max_us);
+  }
   std::fclose(f);
 }
 

@@ -61,7 +61,7 @@ std::vector<std::string> normalize(ScenarioSpec& spec) {
   }
   // The fill loops can insert at most key_range distinct keys; a larger
   // ask used to be silently under-delivered by the odd-key loop.
-  if (spec.prefill != UINT64_MAX && spec.prefill > spec.key_range) {
+  if (prefill_keys(spec) > spec.key_range) {
     warn(w, "prefill %llu > key_range %llu: clamped to the key range",
          static_cast<unsigned long long>(spec.prefill),
          static_cast<unsigned long long>(spec.key_range));

@@ -193,6 +193,12 @@ struct ScenarioSpec {
   ObsSpec obs;
 };
 
+// Keys prefilled before phase 0: `prefill`, or half the key range for the
+// UINT64_MAX default. The engine and the wire loadgen both prefill this.
+inline uint64_t prefill_keys(const ScenarioSpec& spec) {
+  return spec.prefill == UINT64_MAX ? spec.key_range / 2 : spec.prefill;
+}
+
 // Validates and clamps `spec` in place: fills defaulted fields (empty
 // phase list, inherited per-phase thread counts), clamps out-of-range
 // values (prefill > key_range, pct_insert + pct_erase > 100, thread

@@ -54,8 +54,7 @@ struct SlotCtrl {
 // a balanced tree instead of a degenerate chain). The (a,b)-tree and
 // hash table are insensitive, and take the midpoint order too.
 void prefill_set(ds::ISet& set, const ScenarioSpec& spec) {
-  const uint64_t prefill =
-      spec.prefill == UINT64_MAX ? spec.key_range / 2 : spec.prefill;
+  const uint64_t prefill = prefill_keys(spec);
   const uint64_t nkeys = spec.key_range / 2;  // even keys 0,2,4,...
   uint64_t inserted = 0;
   if (spec.ds == "HML" || spec.ds == "LL") {

@@ -1,12 +1,13 @@
 // End-to-end runs of one-phase workloads through the scenario engine:
 // short timed cells across representative configurations, checking the
 // metrics the figure presets are built from (throughput > 0, retire-list
-// bounds, signal counts), plus the bench knob readers.
+// bounds, signal counts), plus the bench flag parser.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <string>
+#include <vector>
 
-#include "../../bench/driver.hpp"
+#include "../../bench/cli.hpp"
 #include "ds/iset.hpp"
 #include "workload/scenario_engine.hpp"
 
@@ -117,21 +118,65 @@ TEST(Workloads, PutMixReportsTheKvBreakdown) {
   EXPECT_GE(r.smr.retired, r.put_replaced);
 }
 
-TEST(Workloads, EnvListHelpersParse) {
-  using namespace pop::bench;
-  setenv("POPSMR_BENCH_THREADS", "1,3,5", 1);
-  const auto ts = bench_thread_list("2,4");
-  ASSERT_EQ(ts.size(), 3u);
-  EXPECT_EQ(ts[0], 1);
-  EXPECT_EQ(ts[2], 5);
-  unsetenv("POPSMR_BENCH_THREADS");
-  const auto ts2 = bench_thread_list("2,4");
-  ASSERT_EQ(ts2.size(), 2u);
-  EXPECT_EQ(ts2[1], 4);
-  // Unset with an empty fallback: empty, i.e. "the sweep's own list".
-  EXPECT_TRUE(bench_thread_list("").empty());
-  EXPECT_TRUE(bench_ds_list("").empty());
-  EXPECT_FALSE(bench_smr_list().empty());
+bench::BenchOptions parse(std::vector<std::string> args) {
+  args.insert(args.begin(), "bench");
+  std::vector<char*> argv;
+  for (auto& a : args) argv.push_back(a.data());
+  return bench::apply_bench_cli(static_cast<int>(argv.size()), argv.data());
+}
+
+TEST(BenchOptions, ListsKeepOrderInEitherFlagForm) {
+  const auto o = parse({"--threads", "4,1,2", "--smr=EpochPOP,EBR",
+                        "--ds", "HMHT,HML", "--shards=8,1",
+                        "--shard-hash", "modulo", "--duration-ms=50",
+                        "--json", "out.jsonl", "--port=0", "--connections",
+                        "16", "--pipeline=32", "--net-workers", "3",
+                        "--host=127.0.0.1", "--scenario", "kv", "--short"});
+  EXPECT_EQ(o.axes.threads, (std::vector<int>{4, 1, 2}));
+  EXPECT_EQ(o.axes.smrs, (std::vector<std::string>{"EpochPOP", "EBR"}));
+  EXPECT_EQ(o.axes.ds, (std::vector<std::string>{"HMHT", "HML"}));
+  EXPECT_EQ(o.axes.shards, (std::vector<int>{8, 1}));
+  EXPECT_EQ(o.axes.shard_hash, "modulo");
+  EXPECT_EQ(o.axes.duration_ms, 50u);
+  EXPECT_TRUE(o.axes.short_mode);
+  EXPECT_EQ(o.json, "out.jsonl");
+  EXPECT_EQ(o.port, 0);
+  EXPECT_EQ(o.connections, 16);
+  EXPECT_EQ(o.pipeline, 32);
+  EXPECT_EQ(o.net_workers, 3);
+  EXPECT_EQ(o.host, "127.0.0.1");
+  EXPECT_EQ(o.scenario, "kv");
+}
+
+TEST(BenchOptions, AbsentListsKeepTheSweepDefaults) {
+  const auto o = parse({});
+  EXPECT_TRUE(o.axes.threads.empty());
+  EXPECT_TRUE(o.axes.smrs.empty());
+  EXPECT_TRUE(o.axes.ds.empty());
+  EXPECT_TRUE(o.axes.shards.empty());
+  EXPECT_TRUE(o.axes.shard_hash.empty());
+  EXPECT_EQ(o.axes.duration_ms, 0u);
+  EXPECT_FALSE(o.axes.short_mode);
+  EXPECT_TRUE(o.json.empty());
+  EXPECT_TRUE(o.host.empty());
+  // An absent list is exactly what a sweep reads as "keep your own".
+  const auto by_default = make_sweep("fig2", o.axes);
+  const auto explicit_default = make_sweep("fig2", SweepAxes{});
+  ASSERT_TRUE(by_default && explicit_default);
+  EXPECT_EQ(by_default->cells.size(), explicit_default->cells.size());
+}
+
+TEST(BenchOptionsDeathTest, MalformedValuesExitTwo) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const auto exits_2 = ::testing::ExitedWithCode(2);
+  EXPECT_EXIT(parse({"--threads", "abc"}), exits_2, "--threads 'abc'");
+  EXPECT_EXIT(parse({"--threads", "0"}), exits_2, "--threads '0'");
+  EXPECT_EXIT(parse({"--threads=2,,4"}), exits_2, "--threads ''");
+  EXPECT_EXIT(parse({"--shards", "x"}), exits_2, "--shards 'x'");
+  EXPECT_EXIT(parse({"--duration-ms", "50x"}), exits_2, "--duration-ms '50x'");
+  EXPECT_EXIT(parse({"--port", "70000"}), exits_2, "--port '70000'");
+  EXPECT_EXIT(parse({"--smr", "EBR,../x"}), exits_2, "--smr '../x'");
+  EXPECT_EXIT(parse({"--smrs", "EBR"}), exits_2, "unknown flag '--smrs'");
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // The SMR contract sanitizer (smr/audit.hpp), exercised both ways:
 // seeded violations must trip the right detector, and clean runs across
-// every scheme must stay silent. The disabled-path hook cost is bounded
-// with the same min-of-rounds methodology as tests/obs/test_obs_overhead.
+// every scheme must stay silent. The disabled-path gate's cost is bounded
+// in tests/obs/test_obs_overhead.cpp, beside the observability hooks.
 //
 // Seeding notes:
 //  - double retire is seeded under ABORT mode via death tests: the audit
@@ -18,9 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <thread>
 
 #include "ds/iset.hpp"
@@ -153,90 +151,6 @@ TEST(AuditClean, AllSchemesSilentUnderAudit) {
   }
   EXPECT_EQ(audit::bracket_depth(), 0u);
   audit_off();
-}
-
-// ---- disabled-path overhead ------------------------------------------------
-// Same min-of-rounds methodology and thresholds as test_obs_overhead: the
-// minimum over many rounds converges to the intrinsic cost, so the ratio
-// of minima bounds the hook overhead without scheduler-noise flakiness.
-
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-constexpr double kDefaultMaxPct = 75.0;
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-constexpr double kDefaultMaxPct = 75.0;
-#else
-constexpr double kDefaultMaxPct = 2.0;
-#endif
-#else
-constexpr double kDefaultMaxPct = 2.0;
-#endif
-
-// ~100 ns of dependent integer work (chained splitmix rounds).
-inline uint64_t synthetic_op(uint64_t x) {
-  for (int i = 0; i < 48; ++i) {
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    x ^= x >> 31;
-  }
-  return x;
-}
-
-inline void keep(uint64_t& v) { asm volatile("" : "+r"(v)); }
-
-uint64_t time_loop_ns(int ops, bool hooked, uint64_t& state) {
-  const auto t0 = std::chrono::steady_clock::now();
-  uint64_t x = state;
-  for (int i = 0; i < ops; ++i) {
-    x = synthetic_op(x);
-    if (hooked) {
-      // The exact gate retire_push/OpGuard compile against: one relaxed
-      // load plus a predictable branch when the auditor is off.
-      if (audit::on()) x += 1;
-    }
-    keep(x);
-  }
-  state = x;
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count());
-}
-
-TEST(AuditOverhead, DisabledHookCostsUnderThreshold) {
-  audit::set_enabled(false);
-  ASSERT_FALSE(audit::on());
-
-  double max_pct = kDefaultMaxPct;
-  if (const char* env = std::getenv("POPSMR_TEST_OVERHEAD_PCT")) {
-    const double v = std::strtod(env, nullptr);
-    if (v > 0) max_pct = v;
-  }
-
-  const int kOps = 1 << 13;
-  const int kRounds = 40;
-  uint64_t state = 54321;
-
-  time_loop_ns(kOps, false, state);  // warm both paths before measuring
-  time_loop_ns(kOps, true, state);
-
-  uint64_t min_plain = UINT64_MAX, min_hooked = UINT64_MAX;
-  for (int r = 0; r < kRounds; ++r) {
-    const uint64_t p = time_loop_ns(kOps, false, state);
-    const uint64_t h = time_loop_ns(kOps, true, state);
-    if (p < min_plain) min_plain = p;
-    if (h < min_hooked) min_hooked = h;
-  }
-  ASSERT_GT(min_plain, 0u);
-
-  const double overhead_pct =
-      100.0 *
-      (static_cast<double>(min_hooked) / static_cast<double>(min_plain) - 1.0);
-  EXPECT_LE(overhead_pct, max_pct)
-      << "disabled-path audit hook overhead " << overhead_pct
-      << "% (plain min " << min_plain << " ns, hooked min " << min_hooked
-      << " ns over " << kOps << " ops)";
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Validate popsmr benchmark JSONL artifacts (BENCH_*.json).
 
-Every bench binary appends JSON Lines to POPSMR_BENCH_JSON. Two row
-families exist:
+Every bench binary appends JSON Lines to the path given by its --json
+flag. Two row families exist:
 
   * kind-tagged rows: "scenario", "phase", "mem_sample", "shard" and
     "latency" from bench_scenarios (every figure, ablation and sweep

@@ -19,8 +19,8 @@ cells with no baseline entry (a new ds/smr pair) and baseline entries
 absent from the artifact (a trimmed sweep) are reported but never fail
 the run. Re-baselining after an intentional perf change:
 
-  POPSMR_BENCH_JSON=net.jsonl ./bench_loadgen --ds HMHT,RHHT \
-      --smr EBR,EpochPOP --short --connections 4 --pipeline 8
+  ./bench_loadgen --ds HMHT,RHHT --smr EBR,EpochPOP --short \
+      --connections 4 --pipeline 8 --json net.jsonl
   tools/compare_bench_jsonl.py net.jsonl --write-baseline
 
 then commit tools/net_baseline.json with a line in the PR explaining the
