@@ -17,7 +17,6 @@
 // sweep's own lists (SweepAxes in workload/scenarios.hpp); --short runs
 // quarter-length phases over key ranges capped at 512.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -128,16 +127,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "unknown scenario '%s' (try --list)\n",
                    name.c_str());
       return 2;
-    }
-    // A lost ping wave must expire inside the bench window: the watchdog
-    // deadline has to undercut the --short stall window (~60 ms) or the
-    // victim resumes before it fires and the cell measures nothing. An
-    // exported value still wins, and healthy waves are unaffected (the
-    // deadline arms lazily at the first escalation).
-    for (const auto& cell : sweep->cells) {
-      if (cell.spec.faults.signal_loss) {
-        setenv("POPSMR_PING_TIMEOUT_MS", "20", /*overwrite=*/0);
-      }
     }
     print_header(name);
     run_sweep(*sweep, [&](const ScenarioSpec& spec, const ScenarioResult& r,

@@ -13,9 +13,9 @@
 #include <thread>
 #include <vector>
 
-#include "core/hazard_ptr_pop.hpp"
 #include "ds/hm_list.hpp"
 #include "runtime/rng.hpp"
+#include "smr/hazard_domain.hpp"
 #include "smr/nbr.hpp"
 
 namespace {

@@ -13,8 +13,8 @@
 #include <thread>
 #include <vector>
 
-#include "core/hazard_ptr_pop.hpp"
 #include "ds/hm_list.hpp"
+#include "smr/hazard_domain.hpp"
 
 int main() {
   // Every data structure owns one reclamation domain; pick the scheme by

@@ -10,8 +10,8 @@
 #include <thread>
 #include <vector>
 
-#include "core/hazard_era_pop.hpp"
 #include "ds/ms_queue.hpp"
+#include "smr/hazard_domain.hpp"
 
 int main() {
   pop::smr::SmrConfig cfg;

@@ -4,7 +4,9 @@
 //
 // Threads run classic EBR (announce epoch on entry, quiesce on exit) and
 // *simultaneously* track hazard-pointer-style reservations privately, via
-// the fence-free read of HazardPtrPOP. Reclamation:
+// the fence-free read of HazardPtrPOP. It is built from exactly those two
+// parts: EBR's EpochAnnouncements and HazardPtrPOP's pointer reservation
+// published on ping. Reclamation:
 //
 //   every retire_threshold retires  -> EBR-mode sweep (free nodes retired
 //                                      before the min announced epoch);
@@ -21,9 +23,9 @@
 #include <atomic>
 #include <cstdint>
 
-#include "core/pop_engine.hpp"
 #include "smr/domain_base.hpp"
-#include "smr/tagged.hpp"
+#include "smr/ebr.hpp"
+#include "smr/hazard_domain.hpp"
 
 namespace pop::core {
 
@@ -32,82 +34,61 @@ class EpochPopDomain {
   static constexpr const char* kName = "EpochPOP";
   static constexpr bool kNeutralizes = false;
   using Guard = smr::OpGuard<EpochPopDomain>;
-  static constexpr uint64_t kQuiescent = UINT64_MAX;
 
   explicit EpochPopDomain(const smr::SmrConfig& cfg = {})
-      : core_(cfg, kName), engine_(cfg.num_slots) {}
+      : core_(cfg, kName), pop_(cfg), epochs_(cfg) {}
 
   void attach() {
     const int tid = runtime::my_tid();
     if (core_.attach_if_new(tid)) {
-      reserved_epoch_[tid]->v.store(kQuiescent, std::memory_order_release);
-      engine_.attach(tid);
+      epochs_.quiesce(tid);
+      pop_.attach(tid);
     }
   }
   void detach() {
     const int tid = runtime::my_tid();
-    reserved_epoch_[tid]->v.store(kQuiescent, std::memory_order_release);
-    engine_.detach(tid);
+    epochs_.quiesce(tid);
+    pop_.detach(tid);
     core_.mark_detached(tid);
   }
 
   // Algorithm 3 startOp().
   void begin_op() {
     attach();
-    const int tid = runtime::my_tid();
-    if (++op_counter_[tid]->v % core_.config().epoch_freq == 0) {
-      epoch_.fetch_add(1, std::memory_order_acq_rel);
-    }
-    // The reservation must be globally visible before the op's reads;
-    // this store is the fence the reclaimer's ping lets a quiescent
-    // reader skip re-paying on the fast path — hence seq_cst.
-    reserved_epoch_[tid]->v.store(epoch_.load(std::memory_order_acquire),
-                                  std::memory_order_seq_cst);
+    epochs_.announce(runtime::my_tid());
   }
 
   // Algorithm 3 endOp(): announce quiescence and drop local reservations.
   void end_op() {
     const int tid = runtime::my_tid();
-    reserved_epoch_[tid]->v.store(kQuiescent, std::memory_order_release);
-    engine_.clear_local(tid);
+    epochs_.quiesce(tid);
+    pop_.clear(tid);
   }
 
   // Algorithm 3 read(): the fence-free private reservation of
   // HazardPtrPOP, maintained alongside the epoch announcement.
   template <class T>
   T* protect(int slot, const std::atomic<T*>& src) {
-    const int tid = runtime::my_tid();
-    T* p = src.load(std::memory_order_acquire);
-    for (;;) {
-      engine_.reserve_local(
-          tid, slot, reinterpret_cast<uintptr_t>(smr::strip_mark(p)));
-      T* q = src.load(std::memory_order_acquire);
-      if (q == p) return p;
-      p = q;
-    }
+    return smr::PointerReservation::protect(pop_, runtime::my_tid(), slot,
+                                            src);
   }
-
-  void copy_slot(int dst, int src) {
-    const int tid = runtime::my_tid();
-    engine_.reserve_local(tid, dst, engine_.local_value(tid, src));
-  }
-
-  void clear() { engine_.clear_local(runtime::my_tid()); }
+  void copy_slot(int dst, int src) { pop_.copy(runtime::my_tid(), dst, src); }
+  void clear() { pop_.clear(runtime::my_tid()); }
 
   template <class T, class... Args>
   T* create(Args&&... args) {
-    return core_.create_node<T>(epoch_.load(std::memory_order_acquire),
+    return core_.create_node<T>(epochs_.current(),
                                 std::forward<Args>(args)...);
   }
 
   // Algorithm 3 retire().
   void retire(smr::Reclaimable* n) {
     const int tid = runtime::my_tid();
-    const uint64_t e = epoch_.load(std::memory_order_acquire);
-    const uint64_t len = core_.retire_push(tid, n, e);
+    const uint64_t len = core_.retire_push(tid, n, epochs_.current());
     const auto& cfg = core_.config();
     if (len % cfg.retire_threshold == 0) {
-      reclaim_epoch_freeable(tid);
+      core_.stats(tid).ebr_frees +=
+          epochs_.sweep(core_, tid, [this](int t) { reap_tid(t); });
     }
     if (core_.retire_list(tid).length() >=
         cfg.pop_multiplier * cfg.retire_threshold) {
@@ -124,83 +105,28 @@ class EpochPopDomain {
 
   smr::StatsSnapshot stats() const { return core_.stats_snapshot(); }
   const smr::SmrConfig& config() const { return core_.config(); }
-  uint64_t current_epoch() const {
-    return epoch_.load(std::memory_order_acquire);
-  }
-  PopEngine& engine() { return engine_; }
+  uint64_t current_epoch() const { return epochs_.current(); }
 
  private:
   // Neutralizes a certified-dead tid: zero its engine slots and park its
   // announced epoch at quiescent so a corpse cannot pin the epoch sweep.
   void reap_tid(int t) {
-    engine_.reap(t);
-    reserved_epoch_[t]->v.store(kQuiescent, std::memory_order_release);
+    pop_.reap(t);
+    epochs_.quiesce(t);
   }
 
-  // Algorithm 3 reclaimEpochFreeable(): classic EBR sweep.
-  void reclaim_epoch_freeable(int tid) {
-    core_.reap_dead(tid, [this](int t) { reap_tid(t); });
-    uint64_t min_reserved = kQuiescent;
-    const int hi = runtime::ThreadRegistry::instance().max_tid();
-    for (int t = 0; t <= hi; ++t) {
-      const uint64_t r =
-          reserved_epoch_[t]->v.load(std::memory_order_acquire);
-      if (r < min_reserved) min_reserved = r;
-    }
-    auto& st = core_.stats(tid);
-    st.scans += 1;
-    const uint64_t freed =
-        core_.sweep_retired(tid, [&](smr::Reclaimable* node) {
-          return node->retire_era < min_reserved;
-        });
-    st.freed += freed;
-    st.ebr_frees += freed;
-  }
-
-  // Algorithm 3 lines 27-30: the POP fallback. Frees everything not in
-  // the published hazard reservations, ignoring epochs entirely — safe
-  // because every access is preceded by a validated (private) reservation.
+  // Algorithm 3 lines 27-30: the POP fallback, HazardPtrPOP's pass. Frees
+  // everything not in the published hazard reservations, ignoring epochs
+  // entirely — safe because every access is preceded by a validated
+  // (private) reservation. A wave that times out defers the sweep.
   void reclaim_pop(int tid) {
-    auto& st = core_.stats(tid);
-    core_.reap_dead(tid, [this](int t) { reap_tid(t); });
-    const auto hs = engine_.ping_all_and_wait(tid);
-    st.signals_sent += static_cast<uint64_t>(hs.sent);
-    if (!hs.complete()) {
-      // A live laggard never published; its private reservations could
-      // name anything in the retire list. Defer the POP sweep.
-      st.waves_timed_out += 1;
-      st.pings_received = engine_.pings_received(tid);
-      return;
-    }
-    uintptr_t* reserved = core_.scan_scratch(tid);
-    const int n = engine_.collect_shared(reserved);
-    st.scans += 1;
-    const uint64_t freed =
-        core_.sweep_retired(tid, [&](smr::Reclaimable* node) {
-          return !smr::SlotTable::contains(reserved, n,
-                                           reinterpret_cast<uintptr_t>(node));
-        });
-    st.freed += freed;
-    st.pop_frees += freed;
-    st.pings_received = engine_.pings_received(tid);
+    core_.stats(tid).pop_frees += smr::hazard_pass<smr::PointerReservation>(
+        core_, pop_, tid, [this](int t) { reap_tid(t); });
   }
-
-  struct Counter {
-    uint64_t v = 0;
-  };
-
-  // Starts quiescent: a zero-initialized slot would read as "reserved at
-  // epoch 0" in reclaim_epoch_freeable() for registry tids that never
-  // attached to this domain and pin every retired node forever.
-  struct ReservedEpoch {
-    std::atomic<uint64_t> v{kQuiescent};
-  };
 
   smr::DomainCore core_;
-  PopEngine engine_;
-  std::atomic<uint64_t> epoch_{1};
-  runtime::Padded<ReservedEpoch> reserved_epoch_[runtime::kMaxThreads];
-  runtime::Padded<Counter> op_counter_[runtime::kMaxThreads];
+  smr::OnPing pop_;
+  smr::EpochAnnouncements epochs_;
 };
 
 }  // namespace pop::core

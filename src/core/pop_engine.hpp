@@ -35,7 +35,6 @@
 
 #include "obs/obs.hpp"
 #include "runtime/backoff.hpp"
-#include "runtime/env.hpp"
 #include "runtime/padded.hpp"
 #include "runtime/signal_bus.hpp"
 #include "runtime/thread_registry.hpp"
@@ -58,7 +57,12 @@ struct HandshakeResult {
 
 class PopEngine final : public runtime::SignalClient {
  public:
-  explicit PopEngine(int num_slots) : num_slots_(num_slots) {}
+  // `ping_timeout_ms` is the handshake watchdog's deadline
+  // (SmrConfig::ping_timeout_ms; 0 disables it).
+  explicit PopEngine(
+      int num_slots,
+      uint64_t ping_timeout_ms = smr::SmrConfig{}.ping_timeout_ms)
+      : num_slots_(num_slots), ping_timeout_ms_(ping_timeout_ms) {}
 
   ~PopEngine() {
     // Threads must have detached; defensively unhook the signal bus for
@@ -146,8 +150,8 @@ class PopEngine final : public runtime::SignalClient {
   // count + watchdog verdict). On a complete() return, every pre-ping
   // reservation of every attached thread is visible in the shared table.
   //
-  // Watchdog: the wait carries a terminal deadline (POPSMR_PING_TIMEOUT_MS,
-  // 0 disables) layered over the progressive per-wave patience. On expiry
+  // Watchdog: the wait carries a terminal deadline (ping_timeout_ms, 0
+  // disables) layered over the progressive per-wave patience. On expiry
   // each laggard is classified: a kernel-dead thread is certified via the
   // registry (its epoch bump then releases every other wait loop too) and
   // skipped — its private reservations died with it, and its stale shared
@@ -227,18 +231,15 @@ class PopEngine final : public runtime::SignalClient {
     // snapshot already contained some of the wave's publishes would
     // otherwise stall a full long interval on counters that will never
     // advance again — then backs off exponentially so a genuinely slow
-    // thread is not bombarded. Both the first interval (env-tunable) and
-    // the backoff are per-wave state: progress resets to the fast
-    // interval, and nothing leaks into the next wave. (An earlier version
-    // jumped straight to the long interval on the first escalation and
-    // never restored the short one — a joiner stalling twice in one wave
-    // paid 16x the intended latency.)
-    const uint32_t patience_first = reping_patience_first();
-    uint32_t patience = patience_first;
+    // thread is not bombarded. The backoff is per-wave state: progress
+    // resets to the fast interval, and nothing leaks into the next wave.
+    // (An earlier version jumped straight to the long interval on the
+    // first escalation and never restored the short one — a joiner
+    // stalling twice in one wave paid 16x the intended latency.)
+    uint32_t patience = kRepingPatienceFirst;
     // Watchdog: armed lazily at the first escalation (healthy waves never
-    // touch the clock or the environment), it bounds the total wait.
+    // touch the clock), it bounds the total wait.
     bool deadline_armed = false;
-    uint64_t timeout_ms = 0;
     std::chrono::steady_clock::time_point armed_at{};
     while (remaining > 0) {
       bool progress = false;
@@ -257,23 +258,18 @@ class PopEngine final : public runtime::SignalClient {
       if (remaining == 0) break;
       if (progress) {
         stalled_sweeps = 0;
-        patience = patience_first;
+        patience = kRepingPatienceFirst;
       } else if (++stalled_sweeps > patience) {
         stalled_sweeps = 0;
         patience = patience < kRepingPatienceMax / 2 ? patience * 2
                                                      : kRepingPatienceMax;
         if (!deadline_armed) {
           deadline_armed = true;
-          // Read per wave (not a cached static) so tests and benches can
-          // vary the deadline; escalations are rare enough that a getenv
-          // here is noise.
-          timeout_ms =
-              runtime::env_u64("POPSMR_PING_TIMEOUT_MS", kPingTimeoutMsDefault);
           armed_at = std::chrono::steady_clock::now();
-        } else if (timeout_ms > 0 &&
+        } else if (ping_timeout_ms_ > 0 &&
                    std::chrono::steady_clock::now() - armed_at >=
-                       std::chrono::milliseconds(timeout_ms)) {
-          classify_laggards(waited, done, nwait, remaining, timeout_ms,
+                       std::chrono::milliseconds(ping_timeout_ms_)) {
+          classify_laggards(waited, done, nwait, remaining, ping_timeout_ms_,
                             result);
           continue;  // remaining is now 0
         }
@@ -368,19 +364,6 @@ class PopEngine final : public runtime::SignalClient {
   // signal-bombed.
   static constexpr uint32_t kRepingPatienceFirst = 1u << 8;
   static constexpr uint32_t kRepingPatienceMax = 1u << 12;
-  // Watchdog deadline when POPSMR_PING_TIMEOUT_MS is unset. Generous: a
-  // healthy handshake completes in microseconds even under sanitizers, so
-  // a second of silence means lost signals or a corpse — and a spurious
-  // expiry merely defers one sweep (safe by construction).
-  static constexpr uint64_t kPingTimeoutMsDefault = 1000;
-
-  // First-interval patience, env-tunable once per process: the knob exists
-  // for experiments sweeping handshake latency vs signal volume.
-  static uint32_t reping_patience_first() {
-    static const uint32_t v = static_cast<uint32_t>(runtime::env_u64(
-        "POPSMR_PING_PATIENCE", kRepingPatienceFirst));
-    return v == 0 ? 1 : v;
-  }
 
   struct Waited {
     int tid;
@@ -443,6 +426,7 @@ class PopEngine final : public runtime::SignalClient {
   }
 
   int num_slots_;
+  uint64_t ping_timeout_ms_;
   runtime::Padded<PerThread> pt_[runtime::kMaxThreads];
   smr::SlotTable shared_;
   std::atomic<uint64_t> waves_led_{0};

@@ -1,6 +1,8 @@
 #include <cstdio>
+#include <iterator>
 
 #include "ds/iset.hpp"
+#include "smr/all.hpp"
 
 namespace pop::ds {
 
@@ -14,9 +16,8 @@ std::unique_ptr<IKV> make_dgt_bst(const std::string&, const SetConfig&);
 std::unique_ptr<IKV> make_ab_tree(const std::string&, const SetConfig&);
 
 const std::vector<std::string>& all_smr_names() {
-  static const std::vector<std::string> names = {
-      "NR",  "HP",  "HPAsym", "HE",           "EBR",          "IBR",
-      "NBR", "BRC", "EpochPOP", "HazardEraPOP", "HazardPtrPOP"};
+  static const std::vector<std::string> names(
+      std::begin(smr::AllDomains::kNames), std::end(smr::AllDomains::kNames));
   return names;
 }
 

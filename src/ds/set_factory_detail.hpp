@@ -107,25 +107,17 @@ class SetAdapter final : public IKV {
 // benchmark flag or config fails loudly instead of as a bare null.
 template <class Maker>
 std::unique_ptr<IKV> dispatch_smr(const std::string& name, Maker&& maker) {
-  if (name == "NR") return maker.template make<smr::NrDomain>();
-  if (name == "HP") return maker.template make<smr::HpDomain>();
-  if (name == "HPAsym") return maker.template make<smr::HpAsymDomain>();
-  if (name == "HE") return maker.template make<smr::HeDomain>();
-  if (name == "EBR") return maker.template make<smr::EbrDomain>();
-  if (name == "IBR") return maker.template make<smr::IbrDomain>();
-  if (name == "NBR") return maker.template make<smr::NbrDomain>();
-  if (name == "BRC") return maker.template make<smr::BrcDomain>();
-  if (name == "HazardPtrPOP") {
-    return maker.template make<core::HazardPtrPopDomain>();
+  std::unique_ptr<IKV> kv;
+  if (smr::AllDomains::visit(
+          name, [&]<class D>() { kv = maker.template make<D>(); })) {
+    return kv;
   }
-  if (name == "HazardEraPOP") {
-    return maker.template make<core::HazardEraPopDomain>();
+  std::string known;
+  for (const auto& n : all_smr_names()) {
+    known += (known.empty() ? "" : ", ") + n;
   }
-  if (name == "EpochPOP") return maker.template make<core::EpochPopDomain>();
-  std::fprintf(stderr,
-               "popsmr: unknown SMR scheme '%s' (known: NR, HP, HPAsym, HE, "
-               "EBR, IBR, NBR, BRC, EpochPOP, HazardEraPOP, HazardPtrPOP)\n",
-               name.c_str());
+  std::fprintf(stderr, "popsmr: unknown SMR scheme '%s' (known: %s)\n",
+               name.c_str(), known.c_str());
   return nullptr;
 }
 

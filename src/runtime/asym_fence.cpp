@@ -79,8 +79,8 @@ void signal_broadcast_fence() {
   auto& client = barrier_client();
   // Every live thread must be attached to the bus for this to reach it;
   // SMR domains attach threads on their first operation, and the barrier
-  // client is attached alongside (see HpAsymDomain::attach). Threads never
-  // attached cannot hold hazard pointers, so missing them is safe.
+  // client is attached alongside (see smr::Asymmetric::attach). Threads
+  // never attached cannot hold hazard pointers, so missing them is safe.
   struct Pending {
     int tid;
     uint64_t ack_before;

@@ -15,7 +15,6 @@
 #include <utility>
 
 #include "obs/obs.hpp"
-#include "runtime/env.hpp"
 #include "runtime/padded.hpp"
 #include "runtime/pool_alloc.hpp"
 #include "runtime/thread_registry.hpp"
@@ -31,11 +30,7 @@ class DomainCore {
   // `scheme` is the owning scheme's kName, carried only so contract-audit
   // reports can name the offender (audit.hpp).
   explicit DomainCore(const SmrConfig& cfg, const char* scheme = "?")
-      : cfg_(cfg),
-        scheme_(scheme),
-        pressure_bound_(cfg.pressure_bound != 0
-                            ? cfg.pressure_bound
-                            : runtime::env_u64("POPSMR_PRESSURE_BOUND", 0)) {}
+      : cfg_(cfg), scheme_(scheme) {}
 
   ~DomainCore() {
     // Teardown frees everything still in flight by design; the shadow set
@@ -183,10 +178,10 @@ class DomainCore {
   // the bound (a pinned reservation legitimately holds nodes), the
   // backstop degrades to defer-and-warn rather than blocking or looping.
   bool pressure_check(int tid) {
-    if (pressure_bound_ == 0) return false;
+    if (cfg_.pressure_bound == 0) return false;
     auto& pt = *pt_[tid];
     if ((++pt.pressure_tick % kPressureCheckEvery) != 0) return false;
-    if (stats_snapshot().unreclaimed() <= pressure_bound_) {
+    if (stats_snapshot().unreclaimed() <= cfg_.pressure_bound) {
       pt.pressure_warned = false;
       return false;
     }
@@ -202,7 +197,7 @@ class DomainCore {
     auto& pt = *pt_[tid];
     pt.stats.forced_handshakes += 1;
     const uint64_t now = stats_snapshot().unreclaimed();
-    if (now <= pressure_bound_) {
+    if (now <= cfg_.pressure_bound) {
       pt.pressure_warned = false;
       return;
     }
@@ -212,11 +207,9 @@ class DomainCore {
                    "popsmr: memory pressure persists after forced pass "
                    "(unreclaimed=%llu > bound=%llu); deferring\n",
                    static_cast<unsigned long long>(now),
-                   static_cast<unsigned long long>(pressure_bound_));
+                   static_cast<unsigned long long>(cfg_.pressure_bound));
     }
   }
-
-  uint64_t pressure_bound() const { return pressure_bound_; }
 
   // Allocates and constructs a node, stamping its birth era.
   template <class T, class... Args>
@@ -392,7 +385,6 @@ class DomainCore {
   SmrConfig cfg_;
   const char* scheme_;
   audit::DomainShadow shadow_;
-  uint64_t pressure_bound_;
   std::atomic<int> hi_tid_{-1};
   std::atomic<bool> reap_mu_{false};
   // Reaper bookkeeping, guarded by reap_mu_ (no atomics needed).

@@ -17,42 +17,98 @@
 
 namespace pop::smr {
 
+// The epoch half of EBR, shared with EpochPOP: the global epoch, each
+// thread's announcement, and the min-epoch sweep.
+class EpochAnnouncements {
+ public:
+  static constexpr uint64_t kQuiescent = UINT64_MAX;
+
+  explicit EpochAnnouncements(const SmrConfig& cfg)
+      : epoch_freq_(cfg.epoch_freq) {}
+
+  uint64_t current() const { return epoch_.load(std::memory_order_acquire); }
+  void bump() { epoch_.fetch_add(1, std::memory_order_acq_rel); }
+
+  // Operation entry (Algorithm 3 startOp()): advance the global epoch every
+  // epoch_freq operations, then announce it.
+  void announce(int tid) {
+    if (++op_counter_[tid]->v % epoch_freq_ == 0) bump();
+    // seq_cst store: the announcement must be globally visible before the
+    // operation's reads. Under EpochPOP this is the one fence per operation
+    // that the reclaimer's ping lets the reader skip on every read.
+    reserved_[tid]->v.store(current(), std::memory_order_seq_cst);
+  }
+
+  // Operation exit, attach and detach — and a certified corpse: a thread
+  // that died inside an operation pins the minimum epoch forever, so the
+  // reaper parks it at quiescent before the minimum is computed.
+  void quiesce(int tid) {
+    reserved_[tid]->v.store(kQuiescent, std::memory_order_release);
+  }
+
+  // One EBR pass: reap (`neutralize` must quiesce the corpse), then free
+  // every node retired before the minimum announced epoch. Returns the
+  // number freed.
+  template <class Neutralize>
+  uint64_t sweep(DomainCore& core, int tid, Neutralize&& neutralize) {
+    core.reap_dead(tid, neutralize);
+    uint64_t min_reserved = kQuiescent;
+    const int hi = runtime::ThreadRegistry::instance().max_tid();
+    for (int t = 0; t <= hi; ++t) {
+      const uint64_t r = reserved_[t]->v.load(std::memory_order_acquire);
+      if (r < min_reserved) min_reserved = r;
+    }
+    auto& st = core.stats(tid);
+    st.scans += 1;
+    const uint64_t freed = core.sweep_retired(tid, [&](Reclaimable* node) {
+      return node->retire_era < min_reserved;
+    });
+    st.freed += freed;
+    return freed;
+  }
+
+ private:
+  struct Counter {
+    uint64_t v = 0;
+  };
+
+  // Starts quiescent: a zero-initialized slot would read as "reserved at
+  // epoch 0" in sweep() for registry tids that never attached to this
+  // domain and pin every retired node forever.
+  struct ReservedEpoch {
+    std::atomic<uint64_t> v{kQuiescent};
+  };
+
+  uint64_t epoch_freq_;
+  std::atomic<uint64_t> epoch_{1};
+  runtime::Padded<ReservedEpoch> reserved_[runtime::kMaxThreads];
+  runtime::Padded<Counter> op_counter_[runtime::kMaxThreads];
+};
+
 class EbrDomain {
  public:
   static constexpr const char* kName = "EBR";
   static constexpr bool kNeutralizes = false;
   using Guard = OpGuard<EbrDomain>;
-  static constexpr uint64_t kQuiescent = UINT64_MAX;
 
-  explicit EbrDomain(const SmrConfig& cfg = {}) : core_(cfg, kName) {}
+  explicit EbrDomain(const SmrConfig& cfg = {})
+      : core_(cfg, kName), epochs_(cfg) {}
 
   void attach() {
     const int tid = runtime::my_tid();
-    if (core_.attach_if_new(tid)) {
-      reserved_[tid]->v.store(kQuiescent, std::memory_order_release);
-    }
+    if (core_.attach_if_new(tid)) epochs_.quiesce(tid);
   }
   void detach() {
     const int tid = runtime::my_tid();
-    reserved_[tid]->v.store(kQuiescent, std::memory_order_release);
+    epochs_.quiesce(tid);
     core_.mark_detached(tid);
   }
 
   void begin_op() {
     attach();
-    const int tid = runtime::my_tid();
-    if (++op_counter_[tid]->v % core_.config().epoch_freq == 0) {
-      epoch_.fetch_add(1, std::memory_order_acq_rel);
-    }
-    // seq_cst store: announcement ordered before the operation's reads.
-    reserved_[tid]->v.store(epoch_.load(std::memory_order_acquire),
-                            std::memory_order_seq_cst);
+    epochs_.announce(runtime::my_tid());
   }
-
-  void end_op() {
-    reserved_[runtime::my_tid()]->v.store(kQuiescent,
-                                          std::memory_order_release);
-  }
+  void end_op() { epochs_.quiesce(runtime::my_tid()); }
 
   template <class T>
   T* protect(int /*slot*/, const std::atomic<T*>& src) {
@@ -63,17 +119,20 @@ class EbrDomain {
 
   template <class T, class... Args>
   T* create(Args&&... args) {
-    return core_.create_node<T>(epoch_.load(std::memory_order_acquire),
+    return core_.create_node<T>(epochs_.current(),
                                 std::forward<Args>(args)...);
   }
 
+  // Length trigger, unlike the hazard schemes' tick: a pass here is cheap
+  // (no handshake) and frees everything older than the slowest reader.
+  // Only a pressure pass bumps the epoch first.
   void retire(Reclaimable* n) {
     const int tid = runtime::my_tid();
-    const uint64_t e = epoch_.load(std::memory_order_acquire);
-    if (core_.retire_push(tid, n, e) % core_.config().retire_threshold == 0) {
+    const uint64_t len = core_.retire_push(tid, n, epochs_.current());
+    if (len % core_.config().retire_threshold == 0) {
       scan(tid);
     } else if (core_.pressure_check(tid)) {
-      epoch_.fetch_add(1, std::memory_order_acq_rel);
+      epochs_.bump();
       scan(tid);
       core_.pressure_relieved_or_warn(tid);
     }
@@ -84,45 +143,15 @@ class EbrDomain {
 
   StatsSnapshot stats() const { return core_.stats_snapshot(); }
   const SmrConfig& config() const { return core_.config(); }
-  uint64_t current_epoch() const {
-    return epoch_.load(std::memory_order_acquire);
-  }
+  uint64_t current_epoch() const { return epochs_.current(); }
 
  private:
   void scan(int tid) {
-    // A corpse that died inside an operation pins the minimum epoch
-    // forever; certify and park it at quiescent before computing the min.
-    core_.reap_dead(tid, [this](int t) {
-      reserved_[t]->v.store(kQuiescent, std::memory_order_release);
-    });
-    uint64_t min_reserved = kQuiescent;
-    const int hi = runtime::ThreadRegistry::instance().max_tid();
-    for (int t = 0; t <= hi; ++t) {
-      const uint64_t r = reserved_[t]->v.load(std::memory_order_acquire);
-      if (r < min_reserved) min_reserved = r;
-    }
-    auto& st = core_.stats(tid);
-    st.scans += 1;
-    st.freed += core_.sweep_retired(tid, [&](Reclaimable* node) {
-      return node->retire_era < min_reserved;
-    });
+    epochs_.sweep(core_, tid, [this](int t) { epochs_.quiesce(t); });
   }
 
-  struct Counter {
-    uint64_t v = 0;
-  };
-
-  // Starts quiescent: a zero-initialized slot would read as "reserved at
-  // epoch 0" in scan() for registry tids that never attached to this
-  // domain and pin every retired node forever.
-  struct ReservedEpoch {
-    std::atomic<uint64_t> v{kQuiescent};
-  };
-
   DomainCore core_;
-  std::atomic<uint64_t> epoch_{1};
-  runtime::Padded<ReservedEpoch> reserved_[runtime::kMaxThreads];
-  runtime::Padded<Counter> op_counter_[runtime::kMaxThreads];
+  EpochAnnouncements epochs_;
 };
 
 }  // namespace pop::smr

@@ -26,9 +26,16 @@ struct SmrConfig {
   // (retired - freed) exceeds this bound, the next retire forces a
   // reclamation pass regardless of the normal cadence, then degrades to
   // defer-and-warn if the pass cannot relieve the pressure (a pinned
-  // reservation can legitimately hold nodes). 0 = use the
-  // POPSMR_PRESSURE_BOUND environment override, or no bound if unset.
+  // reservation can legitimately hold nodes). 0 = no bound.
   uint64_t pressure_bound = 0;
+
+  // Publish-on-ping watchdog: a ping wave that has waited this long for a
+  // laggard classifies it — a dead thread is certified and skipped, a live
+  // one makes the wave time out and the pass defer. 0 = wait forever.
+  // Generous: a healthy handshake completes in microseconds even under
+  // sanitizers, so a second of silence means lost signals or a corpse —
+  // and a spurious expiry merely defers one sweep (safe by construction).
+  uint64_t ping_timeout_ms = 1000;
 };
 
 // Per-thread counters; aggregated into a snapshot for reporting. Plain
@@ -51,30 +58,14 @@ struct ThreadStats {
   uint64_t forced_handshakes = 0;  // reclamation passes forced by pressure
 };
 
-struct StatsSnapshot {
-  uint64_t retired = 0;
-  uint64_t freed = 0;
-  uint64_t scans = 0;
-  uint64_t signals_sent = 0;
-  uint64_t pings_received = 0;
-  uint64_t neutralized = 0;
-  uint64_t ebr_frees = 0;
-  uint64_t pop_frees = 0;
-  uint64_t max_retire_len = 0;   // max over threads
-  uint64_t waves_timed_out = 0;
-  uint64_t tids_reaped = 0;
-  uint64_t orphans_adopted = 0;
-  uint64_t pressure_events = 0;
-  uint64_t forced_handshakes = 0;
+// Totals over threads (a domain) or over snapshots (a sharded service):
+// every counter sums, except max_retire_len, the max over threads.
+struct StatsSnapshot : ThreadStats {
   uint64_t unreclaimed() const { return retired - freed; }
 
-  // Accumulates either a per-thread cell (ThreadStats) or another
-  // snapshot (the service layer rolls one snapshot per shard into a
-  // total) — the two share field names by construction; keeping this a
-  // template means a new counter cannot be summed in one roll-up and
-  // silently dropped from the other.
-  template <class Counters>
-  void absorb(const Counters& t) {
+  // Takes a per-thread cell or another snapshot (the service layer rolls
+  // one snapshot per shard into a total).
+  void absorb(const ThreadStats& t) {
     retired += t.retired;
     freed += t.freed;
     scans += t.scans;

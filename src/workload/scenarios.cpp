@@ -416,8 +416,8 @@ std::string scenario_description(const std::string& name) {
            "neutralize their reservations and adopt orphaned retires";
   }
   if (name == "pressure-backstop") {
-    return "a victim parks holding its reservation with a tight "
-           "POPSMR_PRESSURE_BOUND set: unreclaimed crosses the bound, the "
+    return "a victim parks holding its reservation under a tight "
+           "pressure_bound: unreclaimed crosses the bound, the "
            "backstop forces passes, degrades to defer-and-warn while "
            "pinned, and recovers once the victim resumes";
   }
@@ -584,6 +584,11 @@ std::optional<ScenarioSpec> make_scenario(const std::string& name,
     // them frequent enough that certification (two stale heartbeat scans,
     // then the tgkill probe) lands inside the run even under sanitizers.
     s.smr_cfg.retire_threshold = 64;
+    // A ping wave waits for a corpse until the watchdog certifies it. At
+    // the default 1 s deadline one wave outlasts the 60 ms kill interval,
+    // and a scheme whose every pass is a wave (HazardPtrPOP, HazardEraPOP)
+    // can certify as few as one of the four corpses in a --short run.
+    s.smr_cfg.ping_timeout_ms = 20;
     s.mem_sample_every_ms = std::max<uint64_t>(1, scaled_ms(8, sc));
     return s;
   }
@@ -627,6 +632,12 @@ std::optional<ScenarioSpec> make_scenario(const std::string& name,
     // waves there is nothing for the injector to eat or the watchdog to
     // time out.
     s.smr_cfg.retire_threshold = 64;
+    // A lost ping wave must expire inside the window: the watchdog
+    // deadline has to undercut the --short stall window (~60 ms) or the
+    // victim resumes before it fires and the cell measures nothing.
+    // Healthy waves are unaffected (the deadline arms lazily at the first
+    // escalation).
+    s.smr_cfg.ping_timeout_ms = 20;
     return s;
   }
 

@@ -1,11 +1,10 @@
 // (a,b)-tree structure tests: splits, root growth, COW leaves.
 #include <gtest/gtest.h>
 
-#include "core/hazard_ptr_pop.hpp"
 #include "ds/ab_tree.hpp"
 #include "runtime/rng.hpp"
 #include "smr/ebr.hpp"
-#include "smr/hp.hpp"
+#include "smr/hazard_domain.hpp"
 #include "../support/test_util.hpp"
 
 namespace pop::ds {

@@ -4,7 +4,7 @@
 #include "core/epoch_pop.hpp"
 #include "ds/dgt_bst.hpp"
 #include "runtime/rng.hpp"
-#include "smr/hp.hpp"
+#include "smr/hazard_domain.hpp"
 #include "../support/test_util.hpp"
 
 namespace pop::ds {

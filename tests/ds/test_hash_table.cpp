@@ -1,10 +1,10 @@
 // HMHT structure tests.
 #include <gtest/gtest.h>
 
-#include "core/hazard_ptr_pop.hpp"
 #include "ds/hash_table.hpp"
 #include "runtime/rng.hpp"
 #include "smr/ebr.hpp"
+#include "smr/hazard_domain.hpp"
 #include "../support/test_util.hpp"
 
 namespace pop::ds {

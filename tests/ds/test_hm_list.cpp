@@ -1,11 +1,10 @@
 // HML-specific structure tests (direct template use, no factory).
 #include <gtest/gtest.h>
 
-#include "core/hazard_ptr_pop.hpp"
 #include "ds/hm_list.hpp"
 #include "runtime/rng.hpp"
 #include "smr/ebr.hpp"
-#include "smr/hp.hpp"
+#include "smr/hazard_domain.hpp"
 #include "../support/test_util.hpp"
 
 namespace pop::ds {

@@ -4,7 +4,7 @@
 #include "core/epoch_pop.hpp"
 #include "ds/lazy_list.hpp"
 #include "runtime/rng.hpp"
-#include "smr/hp.hpp"
+#include "smr/hazard_domain.hpp"
 #include "smr/nbr.hpp"
 #include "../support/test_util.hpp"
 

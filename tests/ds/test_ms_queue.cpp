@@ -10,6 +10,7 @@
 #include "runtime/pool_alloc.hpp"
 #include "runtime/thread_registry.hpp"
 #include "smr/all.hpp"
+#include "../support/all_schemes.hpp"
 #include "../support/test_util.hpp"
 
 namespace pop::ds {
@@ -26,12 +27,7 @@ class MsQueueTyped : public ::testing::Test {
   }
 };
 
-using AllSchemes =
-    ::testing::Types<smr::NrDomain, smr::HpDomain, smr::HpAsymDomain,
-                     smr::HeDomain, smr::EbrDomain, smr::IbrDomain,
-                     smr::NbrDomain, smr::BrcDomain, core::HazardPtrPopDomain,
-                     core::HazardEraPopDomain, core::EpochPopDomain>;
-TYPED_TEST_SUITE(MsQueueTyped, AllSchemes);
+TYPED_TEST_SUITE(MsQueueTyped, test::AllSchemes);
 
 TYPED_TEST(MsQueueTyped, StartsEmpty) {
   MsQueue<TypeParam> q;

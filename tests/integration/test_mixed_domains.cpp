@@ -7,10 +7,10 @@
 #include <atomic>
 
 #include "core/epoch_pop.hpp"
-#include "core/hazard_ptr_pop.hpp"
 #include "ds/dgt_bst.hpp"
 #include "ds/hm_list.hpp"
 #include "runtime/rng.hpp"
+#include "smr/hazard_domain.hpp"
 #include "smr/nbr.hpp"
 #include "../support/test_util.hpp"
 

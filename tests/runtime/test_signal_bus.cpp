@@ -55,8 +55,12 @@ TEST(SignalBus, PingRunsHandlerOnTargetThread) {
   });
   while (worker_tid.load() < 0) std::this_thread::yield();
   ThreadRegistry::instance().ping_others(kPingSignal, [](int) { return true; }, [](int, uint64_t) {});
-  // The signal is asynchronous; wait for the handler.
-  for (int i = 0; i < 10000 && c.pings.load() == 0; ++i) {
+  // The signal is asynchronous: wait for the handler's last store on a
+  // deadline, not a yield count, which a loaded machine can outlast.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while ((c.pings.load() == 0 || c.last_tid.load() < 0) &&
+         std::chrono::steady_clock::now() < deadline) {
     std::this_thread::yield();
   }
   EXPECT_GE(c.pings.load(), 1u);

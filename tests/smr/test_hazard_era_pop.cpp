@@ -5,7 +5,7 @@
 #include <atomic>
 #include <thread>
 
-#include "core/hazard_era_pop.hpp"
+#include "smr/hazard_domain.hpp"
 
 namespace pop::core {
 namespace {

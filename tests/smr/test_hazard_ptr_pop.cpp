@@ -6,7 +6,7 @@
 #include <atomic>
 #include <thread>
 
-#include "core/hazard_ptr_pop.hpp"
+#include "smr/hazard_domain.hpp"
 #include "../support/test_util.hpp"
 
 namespace pop::core {

@@ -7,6 +7,7 @@
 #include <atomic>
 
 #include "smr/all.hpp"
+#include "../support/all_schemes.hpp"
 
 namespace pop {
 namespace {
@@ -27,12 +28,7 @@ class ProtectSemantics : public ::testing::Test {
   }
 };
 
-using AllSchemes =
-    ::testing::Types<smr::NrDomain, smr::HpDomain, smr::HpAsymDomain,
-                     smr::HeDomain, smr::EbrDomain, smr::IbrDomain,
-                     smr::NbrDomain, smr::BrcDomain, core::HazardPtrPopDomain,
-                     core::HazardEraPopDomain, core::EpochPopDomain>;
-TYPED_TEST_SUITE(ProtectSemantics, AllSchemes);
+TYPED_TEST_SUITE(ProtectSemantics, test::AllSchemes);
 
 TYPED_TEST(ProtectSemantics, ProtectReturnsCurrentValue) {
   TypeParam d;

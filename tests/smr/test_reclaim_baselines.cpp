@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
+#include <string>
 #include <thread>
 
 #include "runtime/pool_alloc.hpp"
 #include "smr/all.hpp"
+#include "../support/all_schemes.hpp"
 #include "../support/test_util.hpp"
 
 namespace pop {
@@ -208,6 +211,113 @@ TEST(BrcBaseline, ActiveReaderBlocksGracePeriodUntilExit) {
   reclaimer.join();
   EXPECT_TRUE(reclaimed.load());
   EXPECT_GT(d.stats().freed, 0u);
+}
+
+// ---- reclamation cadence ---------------------------------------------------
+//
+// Pins, per scheme, exactly when passes run and what they free for one
+// fixed single-threaded retire sequence: one node held under a reservation
+// inside a long bracket while 150 more retire, then 200 retires in brackets
+// of their own. Any change to a trigger (tick vs length), to an era/epoch
+// bump before a pass, or to EpochPOP's fallback multiplier moves at least
+// one of these counts. The values are the behaviour of the schemes as
+// written; a deliberate cadence change must update them.
+
+struct Cadence {
+  uint64_t retired, freed, scans, signals_sent, ebr_frees, pop_frees,
+      max_retire_len, pressure_events, forced_handshakes;
+};
+
+template <class D>
+Cadence run_cadence(const smr::SmrConfig& cfg) {
+  D d(cfg);
+  {
+    typename D::Guard g(d);
+    TNode* held = d.template create<TNode>(0);
+    std::atomic<TNode*> src{held};
+    EXPECT_EQ(d.protect(0, src), held);
+    d.retire(held);
+    for (uint64_t i = 1; i <= 150; ++i) d.retire(d.template create<TNode>(i));
+  }
+  for (uint64_t i = 0; i < 200; ++i) {
+    typename D::Guard g(d);
+    d.retire(d.template create<TNode>(1000 + i));
+  }
+  const auto s = d.stats();
+  d.detach();
+  return {s.retired,        s.freed,           s.scans,
+          s.signals_sent,   s.ebr_frees,       s.pop_frees,
+          s.max_retire_len, s.pressure_events, s.forced_handshakes};
+}
+
+smr::SmrConfig cadence_cfg(uint64_t pressure_bound) {
+  smr::SmrConfig c;
+  c.retire_threshold = 64;
+  c.epoch_freq = 64;
+  c.pop_multiplier = 2;
+  c.pressure_bound = pressure_bound;
+  return c;
+}
+
+void expect_cadence(const char* scheme, const Cadence& got,
+                    const std::map<std::string, Cadence>& table) {
+  const auto it = table.find(scheme);
+  ASSERT_NE(it, table.end()) << scheme;
+  const Cadence& want = it->second;
+  EXPECT_EQ(got.retired, want.retired) << scheme;
+  EXPECT_EQ(got.freed, want.freed) << scheme;
+  EXPECT_EQ(got.scans, want.scans) << scheme;
+  EXPECT_EQ(got.signals_sent, want.signals_sent) << scheme;
+  EXPECT_EQ(got.ebr_frees, want.ebr_frees) << scheme;
+  EXPECT_EQ(got.pop_frees, want.pop_frees) << scheme;
+  EXPECT_EQ(got.max_retire_len, want.max_retire_len) << scheme;
+  EXPECT_EQ(got.pressure_events, want.pressure_events) << scheme;
+  EXPECT_EQ(got.forced_handshakes, want.forced_handshakes) << scheme;
+}
+
+template <class D>
+class ReclaimCadence : public ::testing::Test {};
+TYPED_TEST_SUITE(ReclaimCadence, test::AllSchemes);
+
+// Normal cadence only: the pressure backstop is off.
+TYPED_TEST(ReclaimCadence, TriggersAndBumpsAreExact) {
+  // {retired, freed, scans, signals_sent, ebr_frees, pop_frees,
+  //  max_retire_len, pressure_events, forced_handshakes}
+  static const std::map<std::string, Cadence> kWant = {
+      {"NR", {351, 0, 0, 0, 0, 0, 351, 0, 0}},
+      {"HP", {351, 320, 5, 0, 0, 0, 65, 0, 0}},
+      {"HPAsym", {351, 320, 5, 0, 0, 0, 65, 0, 0}},
+      {"HE", {351, 320, 5, 0, 0, 0, 128, 0, 0}},
+      {"EBR", {351, 277, 6, 0, 0, 0, 256, 0, 0}},
+      {"IBR", {351, 257, 5, 0, 0, 0, 127, 0, 0}},
+      {"NBR", {351, 320, 5, 0, 0, 0, 64, 0, 0}},
+      {"BRC", {351, 343, 4, 0, 0, 0, 151, 0, 0}},
+      {"HazardPtrPOP", {351, 320, 5, 0, 0, 0, 65, 0, 0}},
+      {"HazardEraPOP", {351, 320, 5, 0, 0, 0, 128, 0, 0}},
+      {"EpochPOP", {351, 277, 7, 0, 150, 127, 128, 0, 0}},
+  };
+  expect_cadence(TypeParam::kName, run_cadence<TypeParam>(cadence_cfg(0)),
+                 kWant);
+}
+
+// The backstop on top: a bound every reclaiming scheme crosses between
+// its regular passes, and the held reservation keeps crossed.
+TYPED_TEST(ReclaimCadence, PressureBackstopPassesAreExact) {
+  static const std::map<std::string, Cadence> kWant = {
+      {"NR", {351, 0, 0, 0, 0, 0, 351, 0, 0}},
+      {"HP", {351, 320, 10, 0, 0, 0, 36, 5, 5}},
+      {"HPAsym", {351, 320, 10, 0, 0, 0, 36, 5, 5}},
+      {"HE", {351, 320, 12, 0, 0, 0, 64, 7, 7}},
+      {"EBR", {351, 293, 14, 0, 0, 0, 162, 9, 9}},
+      {"IBR", {351, 320, 15, 0, 0, 0, 64, 10, 10}},
+      {"NBR", {351, 320, 10, 0, 0, 0, 36, 5, 5}},
+      {"BRC", {351, 344, 7, 0, 0, 0, 151, 7, 7}},
+      {"HazardPtrPOP", {351, 320, 10, 0, 0, 0, 36, 5, 5}},
+      {"HazardEraPOP", {351, 320, 12, 0, 0, 0, 64, 7, 7}},
+      {"EpochPOP", {351, 320, 10, 0, 0, 320, 33, 10, 10}},
+  };
+  expect_cadence(TypeParam::kName, run_cadence<TypeParam>(cadence_cfg(20)),
+                 kWant);
 }
 
 }  // namespace

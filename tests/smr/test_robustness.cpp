@@ -8,7 +8,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <thread>
 
 #include "runtime/fault_inject.hpp"
@@ -114,11 +113,12 @@ TEST(Robustness, EpochPopDegradesGracefullyUnderSignalLoss) {
   // liveness never does), and once delivery is restored and the victim
   // departs, reclamation must pull unreclaimed back under the robust
   // stall bound.
-  setenv("POPSMR_PING_TIMEOUT_MS", "20", /*overwrite=*/1);
   auto& faults = runtime::FaultInjection::instance();
   const uint64_t dropped_before = faults.dropped();
   {
-    core::EpochPopDomain d(cfg());
+    auto lossy = cfg();
+    lossy.ping_timeout_ms = 20;  // a lost wave expires fast
+    core::EpochPopDomain d(lossy);
     std::atomic<bool> stalled{false}, release{false};
     std::atomic<int> victim_tid{-1};
     std::thread sleeper([&] {
@@ -163,7 +163,6 @@ TEST(Robustness, EpochPopDegradesGracefullyUnderSignalLoss) {
     d.detach();
   }
   faults.disarm();
-  unsetenv("POPSMR_PING_TIMEOUT_MS");
 }
 
 TEST(Robustness, StalledThreadDoesNotBlockPopForever) {
