@@ -32,7 +32,12 @@ ScanStats<Smr> run_scenario(const char* name) {
   cfg.retire_threshold = 64;  // tiny: reclaim (and signal) constantly
   pop::ds::HmList<Smr> list(cfg);
   constexpr uint64_t kSize = 20'000;
-  for (uint64_t k = 0; k < kSize; ++k) list.insert(k);
+  // Descending, so each insert lands at the head: an ascending prefill
+  // walks the whole list per key (20K^2 / 2 hops).
+  for (uint64_t k = kSize; k-- > 0;) list.insert(k);
+  // The prefill attached this thread. Leave, or every reclaim pings it
+  // through the sleep below.
+  list.domain().detach();
 
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> scans{0};

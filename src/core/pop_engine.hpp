@@ -1,5 +1,10 @@
 // PopEngine — the publish-on-ping machinery shared by HazardPtrPOP,
-// HazardEraPOP and EpochPOP (paper §3, Algorithms 1-3, 5).
+// HazardEraPOP and EpochPOP (paper §3, Algorithms 1-3, 5), and the
+// process's one ping-and-wait handshake: NBR+ rides the same wave (its
+// write-phase reservations are the slots, and a thread caught in its read
+// phase hands the signal bus a restart target), and HPAsym's fallback
+// where sys_membarrier is missing is a zero-slot engine, whose publish is
+// just the fence and the counter bump.
 //
 // Readers record reservations in *private* per-thread slots with plain
 // (relaxed-atomic) stores: no fence, no cache-line transfer on the read
@@ -30,6 +35,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <csetjmp>
 #include <cstdint>
 #include <cstdio>
 
@@ -47,10 +53,11 @@ namespace pop::core {
 // one *live* laggard never published before the watchdog deadline — the
 // caller must NOT sweep against the shared table (the laggard's private
 // reservations are invisible); defer and retry on a later pass. Dead
-// laggards are certified and skipped without compromising the wave.
+// laggards are certified by the kernel probe and skipped without
+// compromising the wave.
 struct HandshakeResult {
   int sent = 0;            // signals this caller issued
-  int certified_dead = 0;  // laggards certified kernel-dead and skipped
+  int certified_dead = 0;  // laggards whose owner departed, skipped
   bool timed_out = false;  // a live laggard outlasted the deadline
   bool complete() const { return !timed_out; }
 };
@@ -83,6 +90,7 @@ class PopEngine final : public runtime::SignalClient {
     pt_[tid]->registry_epoch.store(
         runtime::ThreadRegistry::instance().slot_epoch(tid),
         std::memory_order_relaxed);
+    pt_[tid]->restart.store(nullptr, std::memory_order_relaxed);
     // seq_cst: attached must be ordered before the SignalBus registration
     // so a reclaimer whose ping reaches this thread never reads false.
     pt_[tid]->attached.store(true, std::memory_order_seq_cst);
@@ -94,6 +102,7 @@ class PopEngine final : public runtime::SignalClient {
       local(tid, s).store(0, std::memory_order_relaxed);
       shared_.at(tid, s).store(0, std::memory_order_release);
     }
+    pt_[tid]->restart.store(nullptr, std::memory_order_relaxed);
     // Unblock any reclaimer currently waiting on this thread.
     pt_[tid]->publish_counter.fetch_add(1, std::memory_order_release);
     pt_[tid]->attached.store(false, std::memory_order_release);
@@ -122,12 +131,31 @@ class PopEngine final : public runtime::SignalClient {
     }
   }
 
+  // NBR+ neutralization: while `env` is armed (the read phase), a ping
+  // restarts the thread from it. nullptr disarms (the write phase, or the
+  // end of the operation). Owner thread only.
+  void arm_restart(int tid, sigjmp_buf* env) {
+    pt_[tid]->restart.store(env, std::memory_order_relaxed);
+  }
+  bool restart_armed(int tid) const {
+    return pt_[tid]->restart.load(std::memory_order_relaxed) != nullptr;
+  }
+
   // ---- signal handler (publish) -------------------------------------------
 
-  void on_ping(int tid) noexcept override {
-    if (!pt_[tid]->attached.load(std::memory_order_relaxed)) return;
+  // Publishes, then hands back an armed restart target (disarmed, so the
+  // restarted operation must re-arm). The publish lands before the jump:
+  // the handler dereferences nothing, and the restarted traversal drops
+  // every pointer it held, so a reclaimer may free as soon as it sees the
+  // counter move.
+  sigjmp_buf* on_ping(int tid) noexcept override {
+    auto& pt = *pt_[tid];
+    if (!pt.attached.load(std::memory_order_relaxed)) return nullptr;
     publish(tid);
-    pt_[tid]->pings.fetch_add(1, std::memory_order_relaxed);
+    pt.pings.fetch_add(1, std::memory_order_relaxed);
+    sigjmp_buf* env = pt.restart.load(std::memory_order_relaxed);
+    if (env != nullptr) pt.restart.store(nullptr, std::memory_order_relaxed);
+    return env;
   }
 
   // publishReservations() of Algorithm 2; also callable synchronously by
@@ -150,15 +178,16 @@ class PopEngine final : public runtime::SignalClient {
   // count + watchdog verdict). On a complete() return, every pre-ping
   // reservation of every attached thread is visible in the shared table.
   //
-  // Watchdog: the wait carries a terminal deadline (ping_timeout_ms, 0
-  // disables) layered over the progressive per-wave patience. On expiry
-  // each laggard is classified: a kernel-dead thread is certified via the
-  // registry (its epoch bump then releases every other wait loop too) and
-  // skipped — its private reservations died with it, and its stale shared
-  // slots keep conservatively protecting whatever they name; a live
-  // unresponsive thread (e.g. one whose pings are being lost) forces
-  // timed_out, because freeing without its publish would be unsafe — the
-  // caller defers the sweep, which degrades memory bounds, never safety.
+  // Corpses and the watchdog: every escalation probes each laggard's
+  // owner. A departed one (exited, or kernel-dead without deregistering)
+  // is skipped at once — its private reservations died with it, and its
+  // stale shared slots keep conservatively protecting whatever they name
+  // until the domain's reaper neutralizes them. The wait also carries a
+  // terminal deadline (ping_timeout_ms, 0 disables) layered over the
+  // progressive per-wave patience: a live laggard that outlasts it (e.g.
+  // one whose pings are being lost) forces timed_out, because freeing
+  // without its publish would be unsafe — the caller defers the sweep,
+  // which degrades memory bounds, never safety.
   //
   // Concurrent handshakes coalesce on a global round counter (even = no
   // ping wave in flight, odd = a wave is open: a leader has broadcast and
@@ -211,8 +240,7 @@ class PopEngine final : public runtime::SignalClient {
         // We lead: signal exactly the threads attached to this domain —
         // the set whose publish counters the wait below certifies.
         result.sent = reg.ping_others(
-            runtime::kPingSignal, [this](int t) { return attached(t); },
-            [](int, uint64_t) {});
+            runtime::kPingSignal, [this](int t) { return attached(t); });
         leading = true;
         break;
       }
@@ -263,15 +291,16 @@ class PopEngine final : public runtime::SignalClient {
         stalled_sweeps = 0;
         patience = patience < kRepingPatienceMax / 2 ? patience * 2
                                                      : kRepingPatienceMax;
+        skip_departed(waited, done, nwait, remaining, result);
+        if (remaining == 0) break;
         if (!deadline_armed) {
           deadline_armed = true;
           armed_at = std::chrono::steady_clock::now();
         } else if (ping_timeout_ms_ > 0 &&
                    std::chrono::steady_clock::now() - armed_at >=
                        std::chrono::milliseconds(ping_timeout_ms_)) {
-          classify_laggards(waited, done, nwait, remaining, ping_timeout_ms_,
-                            result);
-          continue;  // remaining is now 0
+          give_up(waited, done, nwait, result);
+          break;
         }
         result.sent += reg.ping_others(
             runtime::kPingSignal,
@@ -280,8 +309,7 @@ class PopEngine final : public runtime::SignalClient {
                 if (!done[i] && waited[i].tid == t) return attached(t);
               }
               return false;
-            },
-            [](int, uint64_t) {});
+            });
       }
       waiter.wait();  // yields under oversubscription (§4.1.2)
     }
@@ -317,6 +345,7 @@ class PopEngine final : public runtime::SignalClient {
       local(tid, s).store(0, std::memory_order_relaxed);
       shared_.at(tid, s).store(0, std::memory_order_release);
     }
+    pt_[tid]->restart.store(nullptr, std::memory_order_relaxed);
     pt_[tid]->publish_counter.fetch_add(1, std::memory_order_release);
     pt_[tid]->attached.store(false, std::memory_order_release);
   }
@@ -371,31 +400,39 @@ class PopEngine final : public runtime::SignalClient {
     uint64_t registry_epoch;
   };
 
-  // Deadline expiry: resolve every remaining laggard one way or the
-  // other so the wave can close. Dead → certify (the registry epoch bump
-  // releases every other waiter on the corpse too) and skip; live →
-  // give up on this wave (timed_out) with a one-line diagnostic naming
-  // the stuck tid.
-  void classify_laggards(const Waited* waited, bool* done, int nwait,
-                         int& remaining, uint64_t timeout_ms,
-                         HandshakeResult& result) {
+  // Escalation probe: a laggard whose owner departed (exited, or
+  // kernel-dead without deregistering) can never publish, and never again
+  // dereferences, so the wave skips it. Costs one tgkill(0) per live
+  // laggard per escalation. The registry slot is left for a domain's
+  // reaper to certify: it adopts the corpse's retire list before the tid
+  // can be recycled to a new thread.
+  static void skip_departed(const Waited* waited, bool* done, int nwait,
+                            int& remaining, HandshakeResult& result) {
     auto& reg = runtime::ThreadRegistry::instance();
+    for (int i = 0; i < nwait; ++i) {
+      const auto& w = waited[i];
+      if (done[i] || !reg.owner_departed(w.tid, w.registry_epoch)) continue;
+      done[i] = true;
+      --remaining;
+      ++result.certified_dead;
+    }
+  }
+
+  // Deadline expiry: every remaining laggard was just probed alive, so
+  // give up on this wave (timed_out) with a one-line diagnostic naming
+  // each stuck tid.
+  void give_up(const Waited* waited, const bool* done, int nwait,
+               HandshakeResult& result) const {
+    auto& reg = runtime::ThreadRegistry::instance();
+    result.timed_out = true;
     for (int i = 0; i < nwait; ++i) {
       if (done[i]) continue;
       const auto& w = waited[i];
-      done[i] = true;
-      --remaining;
-      if (reg.slot_epoch(w.tid) != w.registry_epoch ||
-          reg.certify_zombie(w.tid, w.registry_epoch)) {
-        ++result.certified_dead;
-        continue;
-      }
-      result.timed_out = true;
       std::fprintf(stderr,
                    "popsmr: ping wave timed out after %llu ms: tid %d is "
                    "alive but never published (heartbeat=%llu) — deferring "
                    "this sweep\n",
-                   static_cast<unsigned long long>(timeout_ms), w.tid,
+                   static_cast<unsigned long long>(ping_timeout_ms_), w.tid,
                    static_cast<unsigned long long>(reg.heartbeat(w.tid)));
     }
   }
@@ -415,6 +452,8 @@ class PopEngine final : public runtime::SignalClient {
     // Atomic because a handshake may read it while a new thread attaches
     // on a recycled tid (change-detection only, so relaxed suffices).
     std::atomic<uint64_t> registry_epoch{0};
+    // Armed NBR+ restart target; read by this thread's own handler.
+    std::atomic<sigjmp_buf*> restart{nullptr};
   };
 
   // Handshake round, shared by every engine in the process: even = idle,

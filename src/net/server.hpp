@@ -6,7 +6,8 @@
 // dealt round-robin across workers (epoll_ctl into another worker's
 // epoll is a plain syscall — no handoff queue needed). Each connection
 // belongs to exactly one worker for its whole life, so its parse/write
-// buffers and ConnectionStats are single-writer without locks; the
+// buffers and ConnectionStats are single-writer without locks (the stats
+// are SwmrCounters, so total_stats() may read a live connection's); the
 // per-worker connection list is mutex-guarded only because accepts (and
 // adopt()) insert from a different thread than the one that removes.
 //

@@ -10,9 +10,11 @@
 //
 // Backend selection, probed once at startup:
 //  1. membarrier(MEMBARRIER_CMD_PRIVATE_EXPEDITED)   - Linux >= 4.14
-//  2. signal broadcast via the thread registry        - container fallback
-// The fallback mirrors what liburcu did before sys_membarrier existed (and
-// is itself a miniature publish-on-ping, minus the reservation copy).
+//  2. kSignalBroadcast                                - container fallback
+// There is no process-wide heavy fence without the syscall. On the
+// fallback backend each HPAsym domain runs a ping wave instead: a
+// zero-slot PopEngine (smr::Asymmetric), whose handler is one seq_cst
+// fence plus a counter bump, so the one ping-and-wait loop serves it too.
 #pragma once
 
 #include <atomic>
@@ -31,7 +33,9 @@ class AsymFence {
     std::atomic_signal_fence(std::memory_order_seq_cst);
   }
 
-  // Reclaimer side: process-wide barrier over all registered threads.
+  // Reclaimer side: process-wide barrier over all threads
+  // (sys_membarrier). On kSignalBroadcast it is only a local seq_cst
+  // fence, and the caller runs its own ping wave.
   void heavy_fence();
 
   AsymBackend backend() const noexcept { return backend_; }
@@ -43,11 +47,5 @@ class AsymFence {
   AsymFence();
   AsymBackend backend_;
 };
-
-namespace detail {
-// When the signal-broadcast fallback is active, worker threads must be
-// reachable by the barrier's ping; HPAsym calls this at thread attach.
-void attach_barrier_client_for_current_thread();
-}  // namespace detail
 
 }  // namespace pop::runtime

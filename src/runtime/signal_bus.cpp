@@ -11,21 +11,28 @@ namespace pop::runtime {
 
 namespace {
 
-constexpr int kMaxClientsPerThread = 16;
+// One client per (domain, thread), and a ShardedMap gives each shard its
+// own domain: the bench flags accept up to 4096 shards. The table costs
+// 32 KB of zeroed TLS per thread but no time: only the prefix a thread
+// has used is ever walked.
+constexpr int kMaxClientsPerThread = 4096;
 
 struct ClientTable {
   // Slots are published with release stores so the handler (same thread,
   // but asynchronous) observes fully-constructed entries. std::atomic of a
   // pointer is lock-free and therefore async-signal-safe.
   std::atomic<SignalClient*> slots[kMaxClientsPerThread] = {};
+  // Slots [0, used) have held a client at some point; detach leaves a
+  // hole that the next attach fills.
+  std::atomic<int> used{0};
   // Detach-in-flight marker, closing the delivery/detach race: detach()
   // publishes the client here *before* touching the slot array, and the
   // handler completes any marked detach at entry (nulling the slot on the
   // interrupted code's behalf) before it walks a single client. Without
-  // this, a handler that interrupts detach() mid-walk and then leaves via
-  // a client's siglongjmp (NBR neutralization) abandons the detach frame
-  // with the stale pointer still in the table — the next ping would call
-  // on_ping through a client that may since have been destroyed.
+  // this, a handler that interrupts detach() mid-walk and then leaves by
+  // an NBR+ restart jump abandons the detach frame with the stale pointer
+  // still in the table — the next ping would call on_ping through a
+  // client that may since have been destroyed.
   std::atomic<SignalClient*> pending_detach{nullptr};
 };
 
@@ -67,25 +74,40 @@ void SignalBus::handler(int) {
   // async-signal-safe).
   ThreadRegistry::instance().heartbeat_bump(tid);
   // Complete any detach this delivery interrupted BEFORE running clients:
-  // a client below may siglongjmp and never return control to the
-  // interrupted detach() frame, so this is the only point guaranteed to
-  // finish the removal. Same-thread atomics; no client has run yet, so no
-  // jump can bypass this cleanup.
+  // the restart jump below never returns control to the interrupted
+  // detach() frame, so this is the only point guaranteed to finish the
+  // removal.
+  const int used = t_clients.used.load(std::memory_order_acquire);
   SignalClient* pending =
       t_clients.pending_detach.load(std::memory_order_acquire);
   if (pending != nullptr) {
-    for (auto& slot : t_clients.slots) {
+    for (int i = 0; i < used; ++i) {
+      auto& slot = t_clients.slots[i];
       if (slot.load(std::memory_order_relaxed) == pending) {
         slot.store(nullptr, std::memory_order_release);
       }
     }
     t_clients.pending_detach.store(nullptr, std::memory_order_release);
   }
-  for (auto& slot : t_clients.slots) {
-    SignalClient* c = slot.load(std::memory_order_acquire);
-    if (c != nullptr) c->on_ping(tid);  // may siglongjmp (NBR)
+  // Every client runs before any jump: each publishes for its own
+  // reclaimers, whichever of them armed a restart.
+  sigjmp_buf* restart = nullptr;
+  for (int i = 0; i < used; ++i) {
+    SignalClient* c = t_clients.slots[i].load(std::memory_order_acquire);
+    if (c == nullptr) continue;
+    sigjmp_buf* to = c->on_ping(tid);
+    if (restart == nullptr) restart = to;
   }
   errno = saved_errno;
+  if (restart != nullptr) {
+    // sigsetjmp saved no mask (savemask=0): re-enable the ping signal,
+    // then jump back to the checkpoint.
+    sigset_t set;
+    sigemptyset(&set);
+    sigaddset(&set, kPingSignal);
+    sigprocmask(SIG_UNBLOCK, &set, nullptr);
+    siglongjmp(*restart, 1);
+  }
 }
 
 void SignalBus::attach(SignalClient* c) {
@@ -107,18 +129,22 @@ void SignalBus::attach(SignalClient* c) {
       // One-time, few-instruction window; spinning is fine.
     }
   }
-  for (auto& slot : t_clients.slots) {
-    if (slot.load(std::memory_order_relaxed) == c) return;  // already attached
+  const int used = t_clients.used.load(std::memory_order_relaxed);
+  int free_slot = used;
+  for (int i = 0; i < used; ++i) {
+    SignalClient* s = t_clients.slots[i].load(std::memory_order_relaxed);
+    if (s == c) return;  // already attached
+    if (s == nullptr && free_slot == used) free_slot = i;
   }
-  for (auto& slot : t_clients.slots) {
-    if (slot.load(std::memory_order_relaxed) == nullptr) {
-      slot.store(c, std::memory_order_release);
-      return;
-    }
+  if (free_slot == kMaxClientsPerThread) {
+    std::fprintf(stderr, "popsmr: >%d signal clients on one thread\n",
+                 kMaxClientsPerThread);
+    std::abort();
   }
-  std::fprintf(stderr, "popsmr: >%d signal clients on one thread\n",
-               kMaxClientsPerThread);
-  std::abort();
+  t_clients.slots[free_slot].store(c, std::memory_order_release);
+  if (free_slot == used) {
+    t_clients.used.store(used + 1, std::memory_order_release);
+  }
 }
 
 void SignalBus::detach(SignalClient* c) {
@@ -126,7 +152,9 @@ void SignalBus::detach(SignalClient* c) {
   // frame finishes the removal itself (see handler), so even a
   // siglongjmp-abandoned detach leaves the table clean.
   t_clients.pending_detach.store(c, std::memory_order_release);
-  for (auto& slot : t_clients.slots) {
+  const int used = t_clients.used.load(std::memory_order_relaxed);
+  for (int i = 0; i < used; ++i) {
+    auto& slot = t_clients.slots[i];
     if (slot.load(std::memory_order_relaxed) == c) {
       slot.store(nullptr, std::memory_order_release);
       break;
@@ -142,8 +170,9 @@ void SignalBus::detach(SignalClient* c) {
 }
 
 bool SignalBus::attached(SignalClient* c) const {
-  for (auto& slot : t_clients.slots) {
-    if (slot.load(std::memory_order_relaxed) == c) return true;
+  const int used = t_clients.used.load(std::memory_order_relaxed);
+  for (int i = 0; i < used; ++i) {
+    if (t_clients.slots[i].load(std::memory_order_relaxed) == c) return true;
   }
   return false;
 }

@@ -8,12 +8,16 @@
 // uninvolved domain is harmless and satisfies any concurrent reclaimer.
 //
 // Handler-side work must be async-signal-safe: clients may only touch
-// lock-free atomics, issue fences, and (for NBR) siglongjmp. The per-thread
-// client table is only mutated by its own thread; handler interleavings are
-// made safe by publishing entries with release stores and nulling on
-// detach.
+// lock-free atomics and issue fences. A client never jumps itself: NBR+
+// neutralization hands its restart target back to the bus, which takes
+// the jump only after every client ran — a jump out of the first client
+// would leave the others' reclaimers waiting on a publish that never
+// comes. The per-thread client table is only mutated by its own thread;
+// handler interleavings are made safe by publishing entries with release
+// stores and nulling on detach.
 #pragma once
 
+#include <csetjmp>
 #include <csignal>
 
 namespace pop::runtime {
@@ -23,9 +27,12 @@ inline constexpr int kPingSignal = SIGUSR1;
 // Interface a reclamation domain implements to receive pings.
 class SignalClient {
  public:
-  // Runs in signal-handler context on the pinged thread. May not return
-  // (NBR neutralization siglongjmps). tid is the receiving thread's id.
-  virtual void on_ping(int tid) noexcept = 0;
+  // Runs in signal-handler context on the pinged thread (tid is its id).
+  // Returns the checkpoint the thread must restart from (NBR+: a thread
+  // caught in its read phase), or nullptr to resume where the signal
+  // landed. The bus jumps after all clients ran; if several return a
+  // target, it takes the first.
+  virtual sigjmp_buf* on_ping(int tid) noexcept = 0;
 
  protected:
   ~SignalClient() = default;

@@ -5,6 +5,7 @@
 // so load skew — a hot shard under Zipfian keys — is observable.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -33,26 +34,52 @@ struct ShardStats {
   smr::StatsSnapshot smr;  // the shard's own domain counters
 };
 
+// A counter with one writer and any number of readers: a relaxed atomic
+// bumped by a load then a store, which compiles to a plain increment (no
+// locked instruction) yet lets another thread read it without a race.
+class SwmrCounter {
+ public:
+  SwmrCounter(uint64_t v = 0) : v_(v) {}  // NOLINT: converts like a u64
+  SwmrCounter(const SwmrCounter& o) : v_(o) {}
+  SwmrCounter& operator=(const SwmrCounter& o) { return *this = uint64_t{o}; }
+  SwmrCounter& operator=(uint64_t v) {
+    v_.store(v, std::memory_order_relaxed);
+    return *this;
+  }
+  operator uint64_t() const { return v_.load(std::memory_order_relaxed); }
+  SwmrCounter& operator+=(uint64_t d) { return *this = *this + d; }
+  SwmrCounter& operator++() { return *this += 1; }
+  uint64_t operator++(int) {
+    const uint64_t v = *this;
+    *this = v + 1;
+    return v;
+  }
+
+ private:
+  std::atomic<uint64_t> v_;
+};
+
 // Per-connection routed-op counters kept by the networked front end
 // (src/net/): one instance per live connection, written only by the
 // worker thread that owns the connection (the same SWMR discipline as
-// every stats surface here), rolled up into the server totals and
-// emitted as kind-tagged "conn" JSONL rows by the loadgen/server rails.
+// every stats surface here) while total_stats() may read it from any
+// thread, rolled up into the server totals and emitted as kind-tagged
+// "conn" JSONL rows by the loadgen/server rails.
 struct ConnectionStats {
-  uint64_t conn_id = 0;
-  uint64_t ops = 0;  // pings + gets + puts + dels
-  uint64_t pings = 0;
-  uint64_t gets = 0;
-  uint64_t get_hits = 0;
-  uint64_t puts = 0;
-  uint64_t put_replaced = 0;
-  uint64_t dels = 0;
-  uint64_t del_hits = 0;
+  uint64_t conn_id = 0;  // set before the connection is published
+  SwmrCounter ops;       // pings + gets + puts + dels
+  SwmrCounter pings;
+  SwmrCounter gets;
+  SwmrCounter get_hits;
+  SwmrCounter puts;
+  SwmrCounter put_replaced;
+  SwmrCounter dels;
+  SwmrCounter del_hits;
   // Pipeline shape actually observed: batches is the number of SMR batch
   // brackets drained for this connection, max_batch the deepest one.
-  uint64_t batches = 0;
-  uint64_t max_batch = 0;
-  uint64_t protocol_errors = 0;
+  SwmrCounter batches;
+  SwmrCounter max_batch;
+  SwmrCounter protocol_errors;
 
   void accumulate(const ConnectionStats& o) {
     ops += o.ops;

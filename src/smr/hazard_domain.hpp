@@ -29,6 +29,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <type_traits>
 
 #include "core/pop_engine.hpp"
@@ -105,6 +106,17 @@ class EraReservation {
 
 // ---- publication policies -------------------------------------------------
 
+// Books a ping wave's outcome on the reclaimer's stats. False when a live
+// thread never published: its reservations are invisible, so no subset of
+// the retire list is provably safe and the caller defers the sweep
+// (bounded memory degrades, safety does not).
+inline bool wave_complete(ThreadStats& st, const core::HandshakeResult& hs) {
+  st.signals_sent += static_cast<uint64_t>(hs.sent);
+  if (hs.complete()) return true;
+  st.waves_timed_out += 1;
+  return false;
+}
+
 // HP, HE: every reservation is visible the moment it is made, so a scan
 // needs no step before it. Slots live in one shared SWMR table.
 class Fenced {
@@ -142,12 +154,19 @@ class Fenced {
 // benchmark (§5: "an optimized Linux sys_membarrier-based version of HP").
 // A reservation is a plain store and a compiler-only barrier; the
 // StoreLoad ordering classic HP buys per read is supplied once per pass
-// by a heavy process-wide fence (sys_membarrier, or a signal broadcast
-// where the syscall is unavailable). Either the reader's reservation is
+// by a heavy process-wide fence. Either the reader's reservation is
 // visible to the scan, or its validation re-read observes the unlink.
+// The heavy fence is sys_membarrier; where the syscall is missing it is a
+// ping wave of a zero-slot PopEngine, whose handler is one seq_cst fence
+// plus a counter bump (what liburcu did before sys_membarrier existed).
 class Asymmetric : public Fenced {
  public:
-  using Fenced::Fenced;
+  explicit Asymmetric(const SmrConfig& cfg) : Fenced(cfg) {
+    if (runtime::AsymFence::instance().backend() ==
+        runtime::AsymBackend::kSignalBroadcast) {
+      fallback_.emplace(0, cfg.ping_timeout_ms);
+    }
+  }
 
   void reserve(int tid, int slot, uintptr_t v) {
     slots_.at(tid, slot).store(v, std::memory_order_release);
@@ -155,13 +174,26 @@ class Asymmetric : public Fenced {
   }
   void attach(int tid) {
     clear(tid);
-    // The signal-broadcast fallback must be able to reach this thread.
-    runtime::detail::attach_barrier_client_for_current_thread();
+    if (fallback_) fallback_->attach(tid);
   }
-  bool make_visible(ThreadStats&, int) {
-    runtime::AsymFence::instance().heavy_fence();
-    return true;
+  void detach(int tid) {
+    clear(tid);
+    if (fallback_) fallback_->detach(tid);
   }
+  void reap(int tid) {
+    clear(tid);
+    if (fallback_) fallback_->reap(tid);
+  }
+  bool make_visible(ThreadStats& st, int tid) {
+    if (!fallback_) {
+      runtime::AsymFence::instance().heavy_fence();
+      return true;
+    }
+    return wave_complete(st, fallback_->ping_all_and_wait(tid));
+  }
+
+ private:
+  std::optional<core::PopEngine> fallback_;
 };
 
 // Publish on ping (paper §3): a reservation is a private relaxed store —
@@ -194,16 +226,12 @@ class OnPing {
 
   bool make_visible(ThreadStats& st, int tid) {
     const auto hs = engine_.ping_all_and_wait(tid);
-    st.signals_sent += static_cast<uint64_t>(hs.sent);
     st.pings_received = engine_.pings_received(tid);
-    if (hs.complete()) return true;
-    // A live thread never published: its private reservations are
-    // invisible, so no subset of the retire list is provably safe. Defer
-    // the sweep (bounded memory degrades, safety does not).
-    st.waves_timed_out += 1;
-    return false;
+    return wave_complete(st, hs);
   }
   int collect(uintptr_t* out) const { return engine_.collect_shared(out); }
+
+  core::PopEngine& engine() { return engine_; }
 
  private:
   core::PopEngine engine_;

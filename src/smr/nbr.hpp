@@ -4,15 +4,21 @@
 //
 // Operations are split into a *read phase* (traversal; pointers held
 // unprotected) and a *write phase* (mutation; the needed pointers are
-// published first). A reclaimer pings all threads; a thread caught in its
-// read phase is *neutralized*: its handler acknowledges and siglongjmps
-// back to the operation checkpoint, discarding every pointer it held. A
-// thread in its write phase merely acknowledges — its published
-// reservations protect the nodes it will touch. After all
-// acknowledgements the reclaimer frees everything not reserved.
+// reserved first). A reclaimer pings all threads; a thread caught in its
+// read phase is *neutralized*: its handler publishes and hands the signal
+// bus its checkpoint, and the bus siglongjmps back to it, discarding every
+// pointer the thread held. A thread in its write phase merely publishes —
+// its reservations protect the nodes it will touch. Once every thread has
+// published, the reclaimer frees everything not reserved.
 //
-// The + refinement is the SWMR acknowledgement counter handshake (same
-// shape as POP's publish counters) which coalesces concurrent reclaimers.
+// The + is the shared publish-counter wave: NBR+ reclaims with
+// HazardPtrPOP's pass (OnPing's PopEngine handshake, then a sweep against
+// the published pointers). Its write-phase reservations are the engine's
+// private slots, and the armed restart target sits in the engine's
+// per-thread row, so one bus client per (domain, thread) serves both.
+// Concurrent reclaimers, in this domain or any other, coalesce on one
+// wave, and a corpse or a lost signal is handled by the wave's probe and
+// watchdog.
 //
 // This is exactly the behaviour Figure 4 punishes: long-running readers
 // are restarted from scratch whenever any reclaimer frees, which POP
@@ -21,65 +27,44 @@
 
 #include <atomic>
 #include <csetjmp>
-#include <csignal>
 
-#include "runtime/backoff.hpp"
-#include "runtime/signal_bus.hpp"
 #include "smr/checkpoint.hpp"
 #include "smr/domain_base.hpp"
-#include "smr/hp_slots.hpp"
-#include "smr/tagged.hpp"
+#include "smr/hazard_domain.hpp"
 
 namespace pop::smr {
 
-class NbrDomain final : public runtime::SignalClient {
+class NbrDomain {
  public:
   static constexpr const char* kName = "NBR";
   static constexpr bool kNeutralizes = true;
   using Guard = OpGuard<NbrDomain>;
 
-  explicit NbrDomain(const SmrConfig& cfg = {}) : core_(cfg, kName) {}
-
-  ~NbrDomain() { runtime::SignalBus::instance().detach(this); }
+  explicit NbrDomain(const SmrConfig& cfg = {})
+      : core_(cfg, kName), pub_(cfg) {}
 
   void attach() {
     const int tid = runtime::my_tid();
-    if (core_.attach_if_new(tid)) {
-      auto& pt = *pt_[tid];
-      // Takeover of a recycled tid: drop the dead owner's published slots.
-      slots_.clear_row(tid, core_.config().num_slots);
-      pt.read_phase.store(false, std::memory_order_relaxed);
-      pt.write_phase.store(false, std::memory_order_relaxed);
-      // Relaxed atomic: a reclaimer snapshotting a recycled tid mid-attach
-      // may read either epoch; both are safe (change-detection only).
-      pt.registry_epoch.store(
-          runtime::ThreadRegistry::instance().slot_epoch(tid),
-          std::memory_order_relaxed);
-      runtime::SignalBus::instance().attach(this);
-    }
+    // A fresh attach or a recycled-tid takeover starts disarmed with empty
+    // slots (the engine's attach resets the row).
+    if (core_.attach_if_new(tid)) pub_.attach(tid);
   }
   void detach() {
     const int tid = runtime::my_tid();
-    slots_.clear_row(tid, core_.config().num_slots);
-    pt_[tid]->ack.fetch_add(1, std::memory_order_release);
+    pub_.detach(tid);
     core_.mark_detached(tid);
-    runtime::SignalBus::instance().detach(this);
   }
 
   void begin_op() { attach(); }
 
   void end_op() {
     const int tid = runtime::my_tid();
-    auto& pt = *pt_[tid];
-    pt.read_phase.store(false, std::memory_order_relaxed);
-    if (pt.write_phase.load(std::memory_order_relaxed)) {
-      pt.write_phase.store(false, std::memory_order_relaxed);
-      slots_.clear_row(tid, core_.config().num_slots);
-    }
+    pub_.engine().arm_restart(tid, nullptr);
+    pub_.clear(tid);
     // Run any reclamation that was deferred because the threshold was
     // crossed during a read phase.
-    if (pt.reclaim_deferred) {
-      pt.reclaim_deferred = false;
+    if (pt_[tid]->reclaim_deferred) {
+      pt_[tid]->reclaim_deferred = false;
       reclaim(tid);
     }
   }
@@ -91,14 +76,13 @@ class NbrDomain final : public runtime::SignalClient {
   // Runs after a neutralization longjmp, before the traversal restarts.
   void on_restart() {
     const int tid = runtime::my_tid();
-    auto& pt = *pt_[tid];
-    pt.write_phase.store(false, std::memory_order_relaxed);
-    slots_.clear_row(tid, core_.config().num_slots);
+    pub_.clear(tid);
     core_.stats(tid).neutralized += 1;
   }
 
   void arm_read_phase() {
-    pt_[runtime::my_tid()]->read_phase.store(true, std::memory_order_relaxed);
+    const int tid = runtime::my_tid();
+    pub_.engine().arm_restart(tid, &pt_[tid]->env);
   }
 
   // ---- reads ----------------------------------------------------------------
@@ -114,39 +98,35 @@ class NbrDomain final : public runtime::SignalClient {
 
   // ---- write phase -----------------------------------------------------------
 
-  // Publishes the nodes the write phase will touch, then suppresses
-  // neutralization. Order matters: if a ping lands between the publishes
-  // and the flag store the handler still restarts us (read_phase is
-  // true), and the stale published slots merely make the reclaimer
-  // conservative until cleared on restart.
+  // Reserves the nodes the write phase will touch, then suppresses
+  // neutralization. Order matters: if a ping lands between the
+  // reservations and the disarm the handler still restarts us, and
+  // on_restart drops the reservations.
   void enter_write_phase(
       std::initializer_list<const Reclaimable*> to_reserve = {}) {
     const int tid = runtime::my_tid();
     int s = 0;
     for (const Reclaimable* r : to_reserve) {
-      slots_.at(tid, s++).store(reinterpret_cast<uintptr_t>(r),
-                                std::memory_order_release);
+      pub_.reserve(tid, s++, reinterpret_cast<uintptr_t>(r));
     }
     // seq_cst signal fence: compiler-only barrier — the handler runs on
     // this same thread, so the slot stores above just must not sink past
-    // the phase change the handler inspects.
+    // the disarm the handler inspects.
     std::atomic_signal_fence(std::memory_order_seq_cst);
-    auto& pt = *pt_[tid];
-    pt.write_phase.store(true, std::memory_order_relaxed);
-    pt.read_phase.store(false, std::memory_order_relaxed);
+    pub_.engine().arm_restart(tid, nullptr);
   }
 
   // Leave the write phase and fall back to the read phase (either to keep
   // traversing, as HML's helping does, or to retry from the checkpoint).
-  // read_phase is re-armed: the operation's jmp_env is still live, and any
-  // pointer the caller keeps using must again be covered by
-  // neutralization.
+  // The restart is re-armed before the reservations are dropped: the
+  // operation's jmp_env is still live, and any pointer the caller keeps
+  // using must be covered by one or the other at every instant.
   void exit_write_phase() {
     const int tid = runtime::my_tid();
-    auto& pt = *pt_[tid];
-    pt.write_phase.store(false, std::memory_order_relaxed);
-    slots_.clear_row(tid, core_.config().num_slots);
-    pt.read_phase.store(true, std::memory_order_relaxed);
+    pub_.engine().arm_restart(tid, &pt_[tid]->env);
+    // seq_cst signal fence: the re-arm must not sink past the clears.
+    std::atomic_signal_fence(std::memory_order_seq_cst);
+    pub_.clear(tid);
   }
 
   // ---- memory -----------------------------------------------------------------
@@ -159,17 +139,17 @@ class NbrDomain final : public runtime::SignalClient {
   void retire(Reclaimable* n) {
     const int tid = runtime::my_tid();
     core_.retire_push(tid, n, 0);
+    // Never reclaim while neutralizable: a longjmp out of the sweep would
+    // corrupt the retire list. Deferred work runs at end_op.
+    const bool neutralizable = pub_.engine().restart_armed(tid);
     if (core_.retire_tick(tid) % core_.config().retire_threshold == 0) {
-      // Never reclaim while neutralizable: a longjmp out of the sweep
-      // would corrupt the retire list. Deferred work runs at end_op.
-      if (!pt_[tid]->read_phase.load(std::memory_order_relaxed)) {
+      if (!neutralizable) {
         reclaim(tid);
       } else {
         pt_[tid]->reclaim_deferred = true;
       }
     } else if (core_.pressure_check(tid)) {
-      // Same neutralization rule as above: never sweep from a read phase.
-      if (!pt_[tid]->read_phase.load(std::memory_order_relaxed)) {
+      if (!neutralizable) {
         reclaim(tid);
         core_.pressure_relieved_or_warn(tid);
       } else {
@@ -178,101 +158,24 @@ class NbrDomain final : public runtime::SignalClient {
     }
   }
 
-  // ---- signal handler ------------------------------------------------------------
-
-  void on_ping(int tid) noexcept override {
-    auto& pt = *pt_[tid];
-    if (!core_.attached(tid)) return;
-    // seq_cst fence: everything this thread did before taking the signal
-    // must be visible before the ack the reclaimer is waiting on.
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    pt.ack.fetch_add(1, std::memory_order_release);
-    pt.pings += 1;
-    if (pt.read_phase.load(std::memory_order_relaxed)) {
-      pt.read_phase.store(false, std::memory_order_relaxed);
-      // sigsetjmp saved no mask (savemask=0): re-enable the ping signal
-      // ourselves, then jump back to the checkpoint.
-      sigset_t set;
-      sigemptyset(&set);
-      sigaddset(&set, runtime::kPingSignal);
-      sigprocmask(SIG_UNBLOCK, &set, nullptr);
-      siglongjmp(pt.env, 1);
-    }
-  }
-
   StatsSnapshot stats() const { return core_.stats_snapshot(); }
   const SmrConfig& config() const { return core_.config(); }
 
  private:
+  // HazardPtrPOP's pass: certify corpses, run the wave (every read-phase
+  // thread restarts, every write-phase thread publishes), sweep.
   void reclaim(int tid) {
-    auto& st = core_.stats(tid);
-    // A corpse can never acknowledge: certify it, drop its published
-    // slots, and bump its ack so any concurrent reclaimer's wait releases.
-    core_.reap_dead(tid, [this](int t) {
-      slots_.clear_row(t, core_.config().num_slots);
-      pt_[t]->ack.fetch_add(1, std::memory_order_release);
-    });
-    // Snapshot acks, ping everyone, wait for all to acknowledge (either by
-    // restarting out of a read phase or by fencing through the handler).
-    struct Waited {
-      int tid;
-      uint64_t ack_before;
-      uint64_t registry_epoch;
-    };
-    Waited waited[runtime::kMaxThreads];
-    int nwait = 0;
-    auto& reg = runtime::ThreadRegistry::instance();
-    const int hi = reg.max_tid();
-    for (int t = 0; t <= hi; ++t) {
-      if (t == tid || !core_.attached(t)) continue;
-      waited[nwait++] = {t, pt_[t]->ack.load(std::memory_order_acquire),
-                         pt_[t]->registry_epoch.load(std::memory_order_relaxed)};
-    }
-    st.signals_sent += static_cast<uint64_t>(reg.ping_others(
-        runtime::kPingSignal, [this](int t) { return core_.attached(t); },
-        [](int, uint64_t) {}));
-    for (int i = 0; i < nwait; ++i) {
-      const auto& w = waited[i];
-      runtime::SpinThenYield waiter;
-      uint32_t spins = 0;
-      while (pt_[w.tid]->ack.load(std::memory_order_acquire) ==
-                 w.ack_before &&
-             core_.attached(w.tid) &&
-             reg.slot_epoch(w.tid) == w.registry_epoch) {
-        // Periodic kernel-liveness probe: a thread that died mid-phase
-        // will never ack, and only this escape (or a later certification)
-        // ends the wait. Cheap relative to the yield-dominated loop.
-        if ((++spins & 1023u) == 0 &&
-            reg.owner_departed(w.tid, w.registry_epoch)) {
-          break;
-        }
-        waiter.wait();
-      }
-    }
-    uintptr_t* reserved = core_.scan_scratch(tid);
-    const int n = slots_.collect(core_.config().num_slots, reserved);
-    st.scans += 1;
-    st.freed += core_.sweep_retired(tid, [&](Reclaimable* node) {
-      return !SlotTable::contains(reserved, n,
-                                  reinterpret_cast<uintptr_t>(node));
-    });
-    st.pings_received = pt_[tid]->pings;
+    hazard_pass<PointerReservation>(core_, pub_, tid,
+                                    [this](int t) { pub_.reap(t); });
   }
 
   struct PerThread {
     sigjmp_buf env;
-    std::atomic<bool> read_phase{false};
-    std::atomic<bool> write_phase{false};
-    std::atomic<uint64_t> ack{0};
-    uint64_t pings = 0;
-    // Atomic: written on attach of a recycled tid while reclaimers read
-    // it for their staleness snapshots.
-    std::atomic<uint64_t> registry_epoch{0};
     bool reclaim_deferred = false;  // owner-thread only
   };
 
   DomainCore core_;
-  SlotTable slots_;
+  OnPing pub_;
   runtime::Padded<PerThread> pt_[runtime::kMaxThreads];
 };
 

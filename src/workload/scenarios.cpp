@@ -584,11 +584,6 @@ std::optional<ScenarioSpec> make_scenario(const std::string& name,
     // them frequent enough that certification (two stale heartbeat scans,
     // then the tgkill probe) lands inside the run even under sanitizers.
     s.smr_cfg.retire_threshold = 64;
-    // A ping wave waits for a corpse until the watchdog certifies it. At
-    // the default 1 s deadline one wave outlasts the 60 ms kill interval,
-    // and a scheme whose every pass is a wave (HazardPtrPOP, HazardEraPOP)
-    // can certify as few as one of the four corpses in a --short run.
-    s.smr_cfg.ping_timeout_ms = 20;
     s.mem_sample_every_ms = std::max<uint64_t>(1, scaled_ms(8, sc));
     return s;
   }

@@ -5,11 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <thread>
 
 #include "core/epoch_pop.hpp"
 #include "ds/dgt_bst.hpp"
 #include "ds/hm_list.hpp"
 #include "runtime/rng.hpp"
+#include "smr/checkpoint.hpp"
 #include "smr/hazard_domain.hpp"
 #include "smr/nbr.hpp"
 #include "../support/test_util.hpp"
@@ -82,6 +85,64 @@ TEST(MixedDomains, PopAndNbrCoexist) {
   EXPECT_EQ(nlist.size_slow(), static_cast<uint64_t>(nnet.load()));
   EXPECT_TRUE(list.sorted_unique_slow());
   EXPECT_TRUE(nlist.sorted_unique_slow());
+}
+
+struct TNode : smr::Reclaimable {};
+
+// One ping runs every client on the receiving thread before the bus takes
+// a restart jump. A reader attached to NBR domain A and then to domain B
+// parks in A's read phase while the main thread reclaims in B: each of
+// B's pings must make B's client publish even though A's client restarts
+// the reader. If A's restart jumped before B's client ran, B's wave would
+// never complete (NBR) or would time out and defer (POP).
+template <class B>
+void reclaim_beside_a_parked_nbr_reader() {
+  smr::SmrConfig cfg;
+  cfg.retire_threshold = 2;
+  smr::NbrDomain a(cfg);
+  B b(cfg);
+  std::atomic<bool> parked{false}, release{false}, watchdog_fired{false};
+  std::thread reader([&] {
+    a.attach();
+    b.attach();
+    {
+      smr::NbrDomain::Guard g(a);
+      POPSMR_CHECKPOINT(a);
+      parked.store(true);
+      while (!release.load(std::memory_order_acquire)) {
+      }
+    }
+    b.detach();
+    a.detach();
+  });
+  // Ends a hung reclaim so a failure cannot hang the suite.
+  std::thread watchdog([&] {
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!release.load() && std::chrono::steady_clock::now() < until) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    if (!release.exchange(true)) watchdog_fired.store(true);
+  });
+  while (!parked.load()) std::this_thread::yield();
+  for (int i = 0; i < 4; ++i) {
+    typename B::Guard g(b);
+    b.retire(b.template create<TNode>());
+  }
+  release.store(true, std::memory_order_release);
+  watchdog.join();
+  reader.join();
+  const auto s = b.stats();
+  b.detach();
+  EXPECT_FALSE(watchdog_fired.load()) << B::kName << " reclaim hung";
+  EXPECT_GT(s.freed, 0u) << B::kName;
+  EXPECT_EQ(s.waves_timed_out, 0u) << B::kName;
+  EXPECT_GT(a.stats().neutralized, 0u);
+}
+
+TEST(MixedDomains, NbrRestartWaitsForEveryClient) {
+  reclaim_beside_a_parked_nbr_reader<smr::NbrDomain>();
+  reclaim_beside_a_parked_nbr_reader<core::HazardPtrPopDomain>();
 }
 
 TEST(MixedDomains, SequentialDomainLifetimes) {

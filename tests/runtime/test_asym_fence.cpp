@@ -5,7 +5,6 @@
 #include <atomic>
 #include <thread>
 
-#include "runtime/signal_bus.hpp"
 #include "runtime/thread_registry.hpp"
 #include "../support/test_util.hpp"
 
@@ -36,7 +35,6 @@ TEST(AsymFence, HeavyFenceCompletesWithBusyThreads) {
   for (int i = 0; i < 4; ++i) {
     ts.emplace_back([&] {
       (void)my_tid();
-      detail::attach_barrier_client_for_current_thread();
       up.fetch_add(1);
       volatile uint64_t sink = 0;
       while (!stop.load(std::memory_order_relaxed)) sink = sink + 1;
@@ -57,7 +55,6 @@ TEST(AsymFence, StoreVisibleAfterHeavyFence) {
   std::atomic<bool> go{false};
   std::thread reader([&] {
     (void)my_tid();
-    detail::attach_barrier_client_for_current_thread();
     while (!go.load(std::memory_order_relaxed)) std::this_thread::yield();
     seen.store(data.load(std::memory_order_relaxed));
   });

@@ -14,9 +14,10 @@ namespace {
 
 class CountingClient final : public SignalClient {
  public:
-  void on_ping(int tid) noexcept override {
+  sigjmp_buf* on_ping(int tid) noexcept override {
     pings.fetch_add(1, std::memory_order_relaxed);
     last_tid.store(tid, std::memory_order_relaxed);
+    return nullptr;
   }
   std::atomic<uint64_t> pings{0};
   std::atomic<int> last_tid{-1};
@@ -54,7 +55,7 @@ TEST(SignalBus, PingRunsHandlerOnTargetThread) {
     SignalBus::instance().detach(&c);
   });
   while (worker_tid.load() < 0) std::this_thread::yield();
-  ThreadRegistry::instance().ping_others(kPingSignal, [](int) { return true; }, [](int, uint64_t) {});
+  ThreadRegistry::instance().ping_others(kPingSignal, [](int) { return true; });
   // The signal is asynchronous: wait for the handler's last store on a
   // deadline, not a yield count, which a loaded machine can outlast.
   const auto deadline =
@@ -82,7 +83,7 @@ TEST(SignalBus, MultipleClientsAllNotified) {
     SignalBus::instance().detach(&c2);
   });
   while (!ready.load()) std::this_thread::yield();
-  ThreadRegistry::instance().ping_others(kPingSignal, [](int) { return true; }, [](int, uint64_t) {});
+  ThreadRegistry::instance().ping_others(kPingSignal, [](int) { return true; });
   for (int i = 0; i < 10000 && (c1.pings.load() == 0 || c2.pings.load() == 0);
        ++i) {
     std::this_thread::yield();
@@ -104,7 +105,7 @@ TEST(SignalBus, DetachedClientNotNotified) {
     while (hold.load()) std::this_thread::yield();
   });
   while (!ready.load()) std::this_thread::yield();
-  ThreadRegistry::instance().ping_others(kPingSignal, [](int) { return true; }, [](int, uint64_t) {});
+  ThreadRegistry::instance().ping_others(kPingSignal, [](int) { return true; });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_EQ(c.pings.load(), 0u);
   hold.store(false);
@@ -115,11 +116,12 @@ TEST(SignalBus, DetachedClientNotNotified) {
 // be reachable. on_ping runs in signal-handler context: atomics only.
 class ArmedClient final : public SignalClient {
  public:
-  void on_ping(int) noexcept override {
+  sigjmp_buf* on_ping(int) noexcept override {
     if (!armed.load(std::memory_order_relaxed)) {
       violations.fetch_add(1, std::memory_order_relaxed);
     }
     pings.fetch_add(1, std::memory_order_relaxed);
+    return nullptr;
   }
   std::atomic<bool> armed{false};
   std::atomic<uint64_t> pings{0};
@@ -157,7 +159,7 @@ TEST(SignalBus, DetachClosesInFlightDeliveryWindow) {
       std::chrono::steady_clock::now() + std::chrono::milliseconds(100);
   while (std::chrono::steady_clock::now() < until) {
     ThreadRegistry::instance().ping_others(
-        kPingSignal, [](int) { return true; }, [](int, uint64_t) {});
+        kPingSignal, [](int) { return true; });
   }
   stop.store(true, std::memory_order_release);
   worker.join();
@@ -192,7 +194,7 @@ TEST(SignalBus, DetachedClientCanBeDestroyedImmediately) {
       std::chrono::steady_clock::now() + std::chrono::milliseconds(100);
   while (std::chrono::steady_clock::now() < until) {
     ThreadRegistry::instance().ping_others(
-        kPingSignal, [](int) { return true; }, [](int, uint64_t) {});
+        kPingSignal, [](int) { return true; });
   }
   stop.store(true, std::memory_order_release);
   worker.join();

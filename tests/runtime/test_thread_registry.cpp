@@ -120,12 +120,11 @@ TEST(ThreadRegistry, PingOthersSkipsSelfAndCountsTargets) {
   const int base = ThreadRegistry::instance().live_count();
   EXPECT_GE(base, 4);
   int called = 0;
-  const int sent = ThreadRegistry::instance().ping_others(
-      SIGUSR2, [](int) { return true; },
-      [&](int tid, uint64_t) {
-        EXPECT_NE(tid, my_tid());
-        ++called;
-      });
+  const int sent = ThreadRegistry::instance().ping_others(SIGUSR2, [&](int tid) {
+    EXPECT_NE(tid, my_tid());
+    ++called;
+    return true;
+  });
   EXPECT_EQ(sent, called);
   EXPECT_EQ(sent, base - 1);
   hold.store(false);

@@ -10,6 +10,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 
 #include "ds/iset.hpp"
 #include "runtime/pool_alloc.hpp"
@@ -320,6 +321,34 @@ TEST(ShardedMap, PressureCountersSurfacePerShardAndRollUp) {
   EXPECT_EQ(stats.smr.waves_timed_out, sum_waves);
   EXPECT_EQ(stats.smr.tids_reaped, sum_reaped);
   m->detach_thread();
+}
+
+TEST(ShardedMap, SeventeenSignalShardsReclaim) {
+  // Every shard is a domain, and so one signal-bus client per thread: a
+  // thread that touches 17 HazardPtrPOP shards holds 17 clients.
+  auto m = ShardedMap::create("HML", "HazardPtrPOP", small_cfg(17));
+  ASSERT_NE(m, nullptr);
+  std::atomic<int> attached{0};
+  test::run_threads(2, [&](int w) {
+    // Touch every shard, then wait for the peer: each wave has a thread
+    // to ping.
+    for (uint64_t k = 0; k < 256; ++k) (void)m->contains(k);
+    attached.fetch_add(1);
+    while (attached.load() < 2) std::this_thread::yield();
+    for (uint64_t i = 0; i < 2000; ++i) {
+      const uint64_t k = 2 * (i % 256) + static_cast<uint64_t>(w);
+      m->insert(k);
+      m->remove(k);
+    }
+    m->detach_thread();
+  });
+  const auto stats = m->service_stats();
+  ASSERT_EQ(stats.shards.size(), 17u);
+  for (const auto& s : stats.shards) {
+    EXPECT_GT(s.smr.freed, 0u) << "shard " << s.shard << " never reclaimed";
+  }
+  EXPECT_GT(stats.smr.signals_sent, 0u);
+  EXPECT_EQ(stats.smr.waves_timed_out, 0u);
 }
 
 TEST(ShardedMap, OneShardMatchesPlainMapOperationForOperation) {

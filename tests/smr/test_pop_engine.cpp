@@ -48,27 +48,57 @@ TEST(PopEngine, LocalReservationIsPrivateUntilPing) {
   e.detach(self);
 }
 
+// Zero slots is HPAsym's fallback heavy fence: the wave still needs every
+// handler's fence and counter bump.
 TEST(PopEngine, PublishCounterAdvancesOnPing) {
-  PopEngine e(4);
-  std::atomic<bool> up{false}, release{false};
-  std::atomic<int> reader_tid{-1};
-  std::thread reader([&] {
-    const int tid = runtime::my_tid();
-    e.attach(tid);
-    reader_tid.store(tid);
-    up.store(true);
-    while (!release.load()) std::this_thread::yield();
-    e.detach(tid);
+  for (const int slots : {4, 0}) {
+    PopEngine e(slots);
+    std::atomic<bool> up{false}, release{false};
+    std::atomic<int> reader_tid{-1};
+    std::thread reader([&] {
+      const int tid = runtime::my_tid();
+      e.attach(tid);
+      reader_tid.store(tid);
+      up.store(true);
+      while (!release.load()) std::this_thread::yield();
+      e.detach(tid);
+    });
+    while (!up.load()) std::this_thread::yield();
+    const uint64_t before = e.publish_count(reader_tid.load());
+    const int self = runtime::my_tid();
+    e.attach(self);
+    EXPECT_TRUE(e.ping_all_and_wait(self).complete()) << slots;
+    EXPECT_GT(e.publish_count(reader_tid.load()), before) << slots;
+    release.store(true);
+    reader.join();
+    e.detach(self);
+  }
+}
+
+// A thread that died without deregistering never publishes. The wave's
+// first escalation probes it dead and skips it, well before the deadline.
+TEST(PopEngine, CorpseCostsOneEscalationNotTheDeadline) {
+  PopEngine e(4, 3000);
+  auto& reg = runtime::ThreadRegistry::instance();
+  int corpse_tid = -1;
+  std::thread corpse([&] {
+    corpse_tid = runtime::my_tid();
+    e.attach(corpse_tid);
+    reg.detail_abandon_registration();
   });
-  while (!up.load()) std::this_thread::yield();
-  const uint64_t before = e.publish_count(reader_tid.load());
+  corpse.join();
+  const uint64_t corpse_epoch = reg.slot_epoch(corpse_tid);
   const int self = runtime::my_tid();
   e.attach(self);
-  e.ping_all_and_wait(self);
-  EXPECT_GT(e.publish_count(reader_tid.load()), before);
-  release.store(true);
-  reader.join();
+  const auto t0 = std::chrono::steady_clock::now();
+  const HandshakeResult hs = e.ping_all_and_wait(self);
+  const auto waited = std::chrono::steady_clock::now() - t0;
+  EXPECT_EQ(hs.certified_dead, 1);
+  EXPECT_TRUE(hs.complete());
+  EXPECT_LT(waited, std::chrono::milliseconds(500));
   e.detach(self);
+  // The wave leaves the registry slot to a reaper; release it here.
+  EXPECT_TRUE(reg.certify_zombie(corpse_tid, corpse_epoch));
 }
 
 TEST(PopEngine, HandshakeCompletesWithNoOtherThreads) {
