@@ -242,9 +242,13 @@ class DomainCore {
 
   // Batched reclamation pass over the caller's retire list: freeable
   // blocks are chained and returned to their heaps in grouped splices
-  // (see PoolAllocator::FreeBatch) instead of one free per node.
+  // (see PoolAllocator::FreeBatch) instead of one free per node. A pass
+  // that can free only nodes retired before `era_floor` walks nothing
+  // when the list holds none (RetireList::sweep_batch); it still records
+  // its sweep span, with 0 freed.
   template <class Pred>
-  uint64_t sweep_retired(int tid, Pred&& can_free) {
+  uint64_t sweep_retired(int tid, Pred&& can_free,
+                         uint64_t era_floor = RetireList::kNoEraFloor) {
     const bool obs_timing = obs::latency_on() || obs::trace_on();
     const uint64_t obs_t0 = obs_timing ? obs::now_ns() : 0;
     runtime::PoolAllocator::FreeBatch batch;
@@ -259,9 +263,10 @@ class DomainCore {
             if (f) shadow_.on_free(scheme_, tid, node);
             return f;
           },
-          batch);
+          batch, era_floor);
     } else {
-      freed = pt_[tid]->retire.sweep_batch(std::forward<Pred>(can_free), batch);
+      freed = pt_[tid]->retire.sweep_batch(std::forward<Pred>(can_free), batch,
+                                           era_floor);
     }
     if (obs_timing) {
       const uint64_t dt = obs::now_ns() - obs_t0;

@@ -48,7 +48,9 @@ class EpochAnnouncements {
 
   // One EBR pass: reap (`neutralize` must quiesce the corpse), then free
   // every node retired before the minimum announced epoch. Returns the
-  // number freed.
+  // number freed. The minimum is the pass's era floor, so while a reader
+  // parked in an operation pins the oldest retired node the pass walks
+  // nothing: it pays for what it can free, not for what it holds.
   template <class Neutralize>
   uint64_t sweep(DomainCore& core, int tid, Neutralize&& neutralize) {
     core.reap_dead(tid, neutralize);
@@ -60,9 +62,10 @@ class EpochAnnouncements {
     }
     auto& st = core.stats(tid);
     st.scans += 1;
-    const uint64_t freed = core.sweep_retired(tid, [&](Reclaimable* node) {
-      return node->retire_era < min_reserved;
-    });
+    const uint64_t freed = core.sweep_retired(
+        tid,
+        [&](Reclaimable* node) { return node->retire_era < min_reserved; },
+        min_reserved);
     st.freed += freed;
     return freed;
   }

@@ -133,5 +133,108 @@ TEST(EpochPop, NoGlobalModeSwitch_TwoReclaimersDifferentModes) {
   sleeper.join();
 }
 
+// ---- the epoch pass while a reader pins the oldest retired node ---------
+//
+// EBR and EpochPOP's epoch mode share EpochAnnouncements::sweep. The pass
+// frees only nodes retired before the minimum announced epoch, so while a
+// reader sits in an operation it frees nothing — and it must not strand
+// anything once the reader leaves or a corpse's older list is adopted.
+
+template <class D>
+class EpochPass : public ::testing::Test {};
+using EpochSchemes = ::testing::Types<smr::EbrDomain, EpochPopDomain>;
+TYPED_TEST_SUITE(EpochPass, EpochSchemes);
+
+constexpr uint64_t kPassEvery = 8;
+
+smr::SmrConfig epoch_pass_cfg() {
+  smr::SmrConfig c;
+  c.retire_threshold = kPassEvery;
+  c.epoch_freq = 1;
+  c.pop_multiplier = 1000;  // keep EpochPOP on its epoch pass
+  return c;
+}
+
+template <class D>
+void retire_in_ops(D& d, uint64_t n) {
+  for (uint64_t i = 0; i < n; ++i) {
+    typename D::Guard g(d);
+    d.retire(d.template create<TNode>(i));
+  }
+}
+
+// A thread that announces an epoch and parks inside the operation.
+template <class D>
+class ParkedReader {
+ public:
+  explicit ParkedReader(D& d)
+      : t_([this, &d] {
+          d.begin_op();
+          parked_.store(true);
+          while (!release_.load()) std::this_thread::yield();
+          d.end_op();
+          d.detach();
+        }) {
+    while (!parked_.load()) std::this_thread::yield();
+  }
+  ~ParkedReader() { leave(); }
+  void leave() {
+    release_.store(true);
+    if (t_.joinable()) t_.join();
+  }
+
+ private:
+  std::atomic<bool> parked_{false}, release_{false};
+  std::thread t_;
+};
+
+TYPED_TEST(EpochPass, PinnedPassesFreeNothingThenTheNextPassFreesAll) {
+  TypeParam d(epoch_pass_cfg());
+  ParkedReader<TypeParam> reader(d);
+  retire_in_ops(d, 8 * kPassEvery);
+  auto s = d.stats();
+  EXPECT_EQ(s.scans, 8u) << "a pinned pass still counts";
+  EXPECT_EQ(s.freed, 0u);
+  EXPECT_EQ(s.unreclaimed(), 8 * kPassEvery) << "the list stays whole";
+
+  reader.leave();
+  retire_in_ops(d, kPassEvery);
+  s = d.stats();
+  EXPECT_EQ(s.scans, 9u);
+  // Everything but the node the pass's own operation retired (its epoch
+  // is the retiring thread's own announcement).
+  EXPECT_EQ(s.freed, 9 * kPassEvery - 1);
+  EXPECT_EQ(s.unreclaimed(), 1u);
+  EXPECT_EQ(s.signals_sent, 0u);
+  d.detach();
+}
+
+TYPED_TEST(EpochPass, AdoptedOlderCorpseListIsFreedOnTheNextPass) {
+  TypeParam d(epoch_pass_cfg());
+  constexpr uint64_t kOrphans = kPassEvery - 3;  // below its own trigger
+  std::atomic<bool> retired{false}, exit_now{false};
+  std::thread corpse([&] {
+    retire_in_ops(d, kOrphans);  // exits attached: the reaper adopts these
+    retired.store(true);
+    while (!exit_now.load()) std::this_thread::yield();
+  });
+  while (!retired.load()) std::this_thread::yield();
+  // The reader registers while the corpse still holds its tid, and pins
+  // an epoch younger than every orphan but older than the live retires.
+  ParkedReader<TypeParam> reader(d);
+  exit_now.store(true);
+  corpse.join();
+
+  retire_in_ops(d, kPassEvery);
+  const auto s = d.stats();
+  EXPECT_EQ(s.tids_reaped, 1u);
+  EXPECT_EQ(s.orphans_adopted, kOrphans);
+  EXPECT_EQ(s.freed, kOrphans) << "the adopted list's older eras are "
+                                  "freeable past the pinned reader";
+  EXPECT_EQ(s.unreclaimed(), kPassEvery);
+  reader.leave();
+  d.detach();
+}
+
 }  // namespace
 }  // namespace pop::core

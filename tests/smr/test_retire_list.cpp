@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "runtime/pool_alloc.hpp"
@@ -43,11 +44,20 @@ TEST(RetireList, PushIncreasesLength) {
   EXPECT_EQ(TestNode::live, 0);
 }
 
+// Nodes outside the pool allocator (no batch hook) go through their
+// deleter, so these run the one sweep path with test-owned nodes.
+template <class Pred>
+uint64_t sweep(RetireList& rl, Pred&& can_free,
+               uint64_t era_floor = RetireList::kNoEraFloor) {
+  runtime::PoolAllocator::FreeBatch batch;
+  return rl.sweep_batch(std::forward<Pred>(can_free), batch, era_floor);
+}
+
 TEST(RetireList, SweepFreesOnlyMatching) {
   RetireList rl;
   for (uint64_t e = 0; e < 10; ++e) rl.push(make_node(e));
   const uint64_t freed =
-      rl.sweep([](Reclaimable* n) { return n->retire_era < 5; });
+      sweep(rl, [](Reclaimable* n) { return n->retire_era < 5; });
   EXPECT_EQ(freed, 5u);
   EXPECT_EQ(rl.length(), 5u);
   EXPECT_EQ(TestNode::live, 5);
@@ -58,9 +68,9 @@ TEST(RetireList, SweepFreesOnlyMatching) {
 TEST(RetireList, SweepKeepsSurvivorsForLaterSweep) {
   RetireList rl;
   for (uint64_t e = 0; e < 6; ++e) rl.push(make_node(e));
-  rl.sweep([](Reclaimable* n) { return n->retire_era % 2 == 0; });
+  sweep(rl, [](Reclaimable* n) { return n->retire_era % 2 == 0; });
   EXPECT_EQ(rl.length(), 3u);
-  const uint64_t freed = rl.sweep([](Reclaimable*) { return true; });
+  const uint64_t freed = sweep(rl, [](Reclaimable*) { return true; });
   EXPECT_EQ(freed, 3u);
   EXPECT_TRUE(rl.empty());
   EXPECT_EQ(TestNode::live, 0);
@@ -76,7 +86,75 @@ TEST(RetireList, DrainFreesEverything) {
 
 TEST(RetireList, SweepOnEmptyListIsNoop) {
   RetireList rl;
-  EXPECT_EQ(rl.sweep([](Reclaimable*) { return true; }), 0u);
+  EXPECT_EQ(sweep(rl, [](Reclaimable*) { return true; }), 0u);
+}
+
+// ---- the oldest-retire-era bound --------------------------------------------
+
+TEST(RetireList, MinEraFollowsPushSweepAdoptAndDrain) {
+  RetireList rl;
+  EXPECT_EQ(rl.min_era(), RetireList::kNoEraFloor);
+  rl.push(make_node(7));
+  EXPECT_EQ(rl.min_era(), 7u);
+  rl.push(make_node(9));  // a younger node does not raise it
+  EXPECT_EQ(rl.min_era(), 7u);
+  rl.push(make_node(4));
+  EXPECT_EQ(rl.min_era(), 4u);
+  for (uint64_t e = 10; e < 14; ++e) rl.push(make_node(e));
+
+  // A partial sweep recomputes the bound over the kept nodes only.
+  EXPECT_EQ(sweep(rl, [](Reclaimable* n) { return n->retire_era < 10; }), 3u);
+  EXPECT_EQ(rl.length(), 4u);
+  EXPECT_EQ(rl.min_era(), 10u);
+
+  // Adopting an older list lowers it; the donor is left empty and reset.
+  RetireList corpse;
+  corpse.push(make_node(3));
+  corpse.push(make_node(20));
+  EXPECT_EQ(rl.adopt(corpse), 2u);
+  EXPECT_EQ(rl.min_era(), 3u);
+  EXPECT_EQ(corpse.min_era(), RetireList::kNoEraFloor);
+
+  // Adopting a younger list leaves it.
+  RetireList young;
+  young.push(make_node(50));
+  rl.adopt(young);
+  EXPECT_EQ(rl.min_era(), 3u);
+
+  EXPECT_EQ(rl.drain(), 7u);
+  EXPECT_EQ(rl.min_era(), RetireList::kNoEraFloor);
+  EXPECT_EQ(TestNode::live, 0);
+
+  // A sweep that frees everything resets it as drain does.
+  rl.push(make_node(5));
+  sweep(rl, [](Reclaimable*) { return true; });
+  EXPECT_EQ(rl.min_era(), RetireList::kNoEraFloor);
+}
+
+TEST(RetireList, PinnedPassNeverCallsThePredicate) {
+  RetireList rl;
+  for (uint64_t e = 5; e < 105; ++e) rl.push(make_node(e));
+  int calls = 0;
+  auto counting = [&](Reclaimable* n) {
+    ++calls;
+    return n->retire_era < 5;
+  };
+  // The oldest node was retired at the floor: nothing can be freed, and
+  // the pass does not look.
+  EXPECT_EQ(sweep(rl, counting, /*era_floor=*/5), 0u);
+  EXPECT_EQ(calls, 0);
+  EXPECT_EQ(rl.length(), 100u);
+
+  // One era later the oldest node is freeable: the pass walks the list.
+  auto below6 = [&](Reclaimable* n) {
+    ++calls;
+    return n->retire_era < 6;
+  };
+  EXPECT_EQ(sweep(rl, below6, /*era_floor=*/6), 1u);
+  EXPECT_EQ(calls, 100);
+  EXPECT_EQ(rl.min_era(), 6u);
+  rl.drain();
+  EXPECT_EQ(TestNode::live, 0);
 }
 
 // ---- batched sweep --------------------------------------------------------
