@@ -194,11 +194,9 @@ BenchOptions apply_bench_cli(int argc, char** argv) {
   }
   if (out.latency) obs::set_latency(true);
   if (out.hw_counters) obs::set_hw(true);
-  if (!out.trace.empty()) obs::arm_trace(out.trace);
-  // Resolve the channels no flag set (the library's POPSMR_OBS_* /
-  // POPSMR_TRACE knobs), and dump the trace at exit if one is armed.
-  obs::init_from_env();
-  if (obs::trace_on()) {
+  // Arm the tracer and dump its rings at exit.
+  if (!out.trace.empty()) {
+    obs::arm_trace(out.trace);
     static bool dump_registered = false;
     if (!dump_registered) {
       dump_registered = true;

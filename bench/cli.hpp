@@ -2,7 +2,7 @@
 // a flag, read once, here. apply_bench_cli parses argv into BenchOptions;
 // binaries read the fields they consume and ignore the rest.
 //
-//   --threads 1,2,4        thread counts (micro_free_batch: default 8)
+//   --threads 1,2,4        thread counts
 //   --smr EBR,EpochPOP     scheme names
 //   --ds HML,HMHT          data structures
 //   --shards 1,2,4,8       shard counts

@@ -88,8 +88,8 @@ void print_cell(const ScenarioSpec& spec, const ScenarioResult& r,
                 static_cast<unsigned long long>(r.smr.forced_handshakes),
                 static_cast<unsigned long long>(r.recovered_at_ms));
   }
-  // Per-kind latency percentiles when --latency (or POPSMR_OBS_LATENCY)
-  // recorded anything (reclamation kinds included).
+  // Per-kind latency percentiles when --latency recorded anything
+  // (reclamation kinds included).
   for (const auto& L : r.latency) {
     std::printf("      %-13s lat %-9s n=%-9llu p50=%.1fus p90=%.1fus "
                 "p99=%.1fus p999=%.1fus max=%.1fus\n",

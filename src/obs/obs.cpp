@@ -11,7 +11,6 @@
 #include <mutex>
 
 #include "obs/hw_counters.hpp"
-#include "runtime/env.hpp"
 #include "runtime/thread_registry.hpp"
 
 #ifdef __linux__
@@ -42,15 +41,11 @@ uint64_t wall_ts_ms() {
 
 namespace detail {
 
-std::atomic<int> g_latency_state{0};
-std::atomic<int> g_hw_state{0};
-std::atomic<int> g_trace_state{0};
+std::atomic<bool> g_latency_on{false};
+std::atomic<bool> g_hw_on{false};
+std::atomic<bool> g_trace_on{false};
 
 namespace {
-
-int env_flag_state(const char* name) {
-  return runtime::env_u64(name, 0) != 0 ? 2 : 1;
-}
 
 // ---- latency registry ------------------------------------------------------
 
@@ -92,11 +87,10 @@ ThreadHistos& histos_for_self() {
 
 struct TraceRegistry {
   std::atomic<TraceRing*> rings[runtime::kMaxThreads] = {};
-  std::mutex mu;             // guards path/epoch/ring_cap
+  std::mutex mu;             // guards path/epoch
   std::string path;
   uint64_t epoch_ns = 0;     // now_ns at arm time; dump timestamps are
                              // relative to this
-  uint32_t ring_cap = 0;
 
   ~TraceRegistry() {
     for (auto& r : rings) delete r.load(std::memory_order_acquire);
@@ -114,52 +108,13 @@ TraceRing& ring_for_self() {
   auto& slot = reg.rings[tid];
   TraceRing* r = slot.load(std::memory_order_acquire);
   if (!r) {
-    uint32_t cap;
-    {
-      std::lock_guard<std::mutex> lk(reg.mu);
-      cap = reg.ring_cap ? reg.ring_cap
-                         : static_cast<uint32_t>(
-                               runtime::env_u64("POPSMR_TRACE_RING", 8192));
-    }
-    r = new TraceRing(cap);
+    r = new TraceRing(kTraceRingEvents);
     slot.store(r, std::memory_order_release);
   }
   return *r;
 }
 
 }  // namespace
-
-int latency_init_slow() {
-  int expected = 0;
-  const int s = env_flag_state("POPSMR_OBS_LATENCY");
-  if (g_latency_state.compare_exchange_strong(expected, s,
-                                              std::memory_order_relaxed)) {
-    return s;
-  }
-  return expected;  // lost the race; someone else initialized
-}
-
-int hw_init_slow() {
-  int expected = 0;
-  const int s = env_flag_state("POPSMR_OBS_HW");
-  if (g_hw_state.compare_exchange_strong(expected, s,
-                                         std::memory_order_relaxed)) {
-    return s;
-  }
-  return expected;
-}
-
-int trace_init_slow() {
-  const std::string path = runtime::env_str("POPSMR_TRACE", "");
-  if (path.empty()) {
-    int expected = 0;
-    g_trace_state.compare_exchange_strong(expected, 1,
-                                          std::memory_order_relaxed);
-    return g_trace_state.load(std::memory_order_relaxed);
-  }
-  arm_trace(path);
-  return g_trace_state.load(std::memory_order_relaxed);
-}
 
 void record_latency_slow(LatOp op, uint64_t ns) {
   histos_for_self().h[static_cast<int>(op)].record(ns);
@@ -173,25 +128,13 @@ void trace_event_slow(TraceKind k, uint64_t t_ns, uint64_t dur_ns,
 }  // namespace detail
 
 void set_latency(bool on) {
-  if constexpr (!kEnabled) return;
-  detail::g_latency_state.store(on ? 2 : 1, std::memory_order_relaxed);
+  detail::g_latency_on.store(on, std::memory_order_relaxed);
 }
 
-void set_hw(bool on) {
-  if constexpr (!kEnabled) return;
-  detail::g_hw_state.store(on ? 2 : 1, std::memory_order_relaxed);
-}
-
-void init_from_env() {
-  if constexpr (!kEnabled) return;
-  (void)latency_on();
-  (void)hw_on();
-  (void)trace_on();
-}
+void set_hw(bool on) { detail::g_hw_on.store(on, std::memory_order_relaxed); }
 
 HistoSnapshot latency_snapshot(LatOp op) {
   HistoSnapshot s;
-  if constexpr (!kEnabled) return s;
   auto& table = detail::histo_table();
   for (int t = 0; t < runtime::kMaxThreads; ++t) {
     auto* h = table.slots[t].load(std::memory_order_acquire);
@@ -201,7 +144,6 @@ HistoSnapshot latency_snapshot(LatOp op) {
 }
 
 void latency_reset() {
-  if constexpr (!kEnabled) return;
   auto& table = detail::histo_table();
   for (int t = 0; t < runtime::kMaxThreads; ++t) {
     auto* h = table.slots[t].load(std::memory_order_acquire);
@@ -210,21 +152,18 @@ void latency_reset() {
   }
 }
 
-void arm_trace(const std::string& path, uint32_t ring_capacity) {
-  if constexpr (!kEnabled) return;
+void arm_trace(const std::string& path) {
   auto& reg = detail::trace_registry();
   {
     std::lock_guard<std::mutex> lk(reg.mu);
     reg.path = path;
-    if (ring_capacity) reg.ring_cap = ring_capacity;
     if (reg.epoch_ns == 0) reg.epoch_ns = now_ns();
   }
-  detail::g_trace_state.store(2, std::memory_order_relaxed);
+  detail::g_trace_on.store(true, std::memory_order_relaxed);
 }
 
 void disarm_trace() {
-  if constexpr (!kEnabled) return;
-  detail::g_trace_state.store(1, std::memory_order_relaxed);
+  detail::g_trace_on.store(false, std::memory_order_relaxed);
   // Forget the armed path too: a later dump_trace() with nothing armed
   // must fail rather than overwrite the previous run's file.
   auto& reg = detail::trace_registry();
@@ -234,7 +173,6 @@ void disarm_trace() {
 
 std::vector<TraceEvent> trace_collect() {
   std::vector<TraceEvent> out;
-  if constexpr (!kEnabled) return out;
   auto& reg = detail::trace_registry();
   for (int t = 0; t < runtime::kMaxThreads; ++t) {
     auto* r = reg.rings[t].load(std::memory_order_acquire);
@@ -249,7 +187,6 @@ std::vector<TraceEvent> trace_collect() {
 
 uint64_t trace_dropped() {
   uint64_t d = 0;
-  if constexpr (!kEnabled) return d;
   auto& reg = detail::trace_registry();
   for (int t = 0; t < runtime::kMaxThreads; ++t) {
     auto* r = reg.rings[t].load(std::memory_order_acquire);
@@ -259,7 +196,6 @@ uint64_t trace_dropped() {
 }
 
 bool dump_trace_to(const std::string& path) {
-  if constexpr (!kEnabled) return false;
   if (path.empty()) return false;
   uint64_t epoch;
   {
@@ -310,7 +246,6 @@ bool dump_trace_to(const std::string& path) {
 }
 
 bool dump_trace() {
-  if constexpr (!kEnabled) return false;
   std::string path;
   {
     auto& reg = detail::trace_registry();

@@ -4,15 +4,15 @@
 // Design rule: the disabled path compiles to (almost) nothing. Every hook
 // below reduces to one relaxed atomic load plus a predictable branch when
 // the corresponding channel is off; tests/obs/test_obs_overhead.cpp pins
-// that cost under 2% of a ~100 ns op. Compiling with -DPOPSMR_OBS_DISABLE
-// turns kEnabled into a constexpr false and the hooks into true no-ops.
+// that cost under 2% of a ~100 ns op.
 //
-// Channels and their knobs (the bench flags in bench/cli.hpp switch a
-// channel on directly; the env var is read only when no flag set it):
-//   latency   POPSMR_OBS_LATENCY=1   / --latency      / ScenarioSpec.obs
-//   tracing   POPSMR_TRACE=<path>    / --trace <path>
-//   hardware  POPSMR_OBS_HW=1       / --hw-counters  / ScenarioSpec.obs
-//   ring size POPSMR_TRACE_RING=<events per thread, default 8192>
+// Channels, each one std::atomic<bool>, off until a switch turns it on.
+// The bench flags (bench/cli.hpp) call the switches; tests call them
+// directly:
+//   latency   --latency      / set_latency()
+//   tracing   --trace <path> / arm_trace(), disarm_trace()
+//   hardware  --hw-counters  / set_hw()
+// A trace ring holds kTraceRingEvents events per thread.
 
 #pragma once
 
@@ -26,11 +26,9 @@
 
 namespace pop::obs {
 
-#ifdef POPSMR_OBS_DISABLE
-inline constexpr bool kEnabled = false;
-#else
-inline constexpr bool kEnabled = true;
-#endif
+// Events each thread's trace ring holds before it wraps (wrapped events
+// are counted in the dump's dropped_events).
+inline constexpr uint32_t kTraceRingEvents = 8192;
 
 // Everything the engine/driver times, point ops and reclamation side.
 enum class LatOp : int {
@@ -66,13 +64,9 @@ inline const char* lat_op_name(LatOp op) {
 }
 
 namespace detail {
-// 0 = uninitialized (consult env on first query), 1 = off, 2 = on.
-extern std::atomic<int> g_latency_state;
-extern std::atomic<int> g_hw_state;
-extern std::atomic<int> g_trace_state;
-int latency_init_slow();
-int hw_init_slow();
-int trace_init_slow();
+extern std::atomic<bool> g_latency_on;
+extern std::atomic<bool> g_hw_on;
+extern std::atomic<bool> g_trace_on;
 void record_latency_slow(LatOp op, uint64_t ns);
 void trace_event_slow(TraceKind k, uint64_t t_ns, uint64_t dur_ns,
                       uint32_t arg);
@@ -94,39 +88,22 @@ uint64_t wall_ts_ms();
 // ---- channel toggles -------------------------------------------------------
 
 inline bool latency_on() {
-  if constexpr (!kEnabled) return false;
-  int s = detail::g_latency_state.load(std::memory_order_relaxed);
-  if (s == 0) s = detail::latency_init_slow();
-  return s == 2;
+  return detail::g_latency_on.load(std::memory_order_relaxed);
 }
 
-inline bool hw_on() {
-  if constexpr (!kEnabled) return false;
-  int s = detail::g_hw_state.load(std::memory_order_relaxed);
-  if (s == 0) s = detail::hw_init_slow();
-  return s == 2;
-}
+inline bool hw_on() { return detail::g_hw_on.load(std::memory_order_relaxed); }
 
 inline bool trace_on() {
-  if constexpr (!kEnabled) return false;
-  int s = detail::g_trace_state.load(std::memory_order_relaxed);
-  if (s == 0) s = detail::trace_init_slow();
-  return s == 2;
+  return detail::g_trace_on.load(std::memory_order_relaxed);
 }
 
-// Programmatic overrides (ScenarioSpec.obs, tests). No-ops when compiled out.
 void set_latency(bool on);
 void set_hw(bool on);
-
-// Force env evaluation of all three channels now (bench mains call this
-// after CLI parsing so the first hot-path query is just a load).
-void init_from_env();
 
 // ---- latency ---------------------------------------------------------------
 
 // Record one duration into the calling thread's histogram for `op`.
 inline void record_latency(LatOp op, uint64_t ns) {
-  if constexpr (!kEnabled) return;
   if (!latency_on()) return;
   detail::record_latency_slow(op, ns);
 }
@@ -144,14 +121,12 @@ void latency_reset();
 // armed. `t_ns` is the event start (now_ns clock); `dur_ns` 0 for instants.
 inline void trace_event(TraceKind k, uint64_t t_ns, uint64_t dur_ns,
                         uint32_t arg = 0) {
-  if constexpr (!kEnabled) return;
   if (!trace_on()) return;
   detail::trace_event_slow(k, t_ns, dur_ns, arg);
 }
 
-// Arm tracing with an output path (POPSMR_TRACE does this lazily).
-// ring_capacity 0 means POPSMR_TRACE_RING or the 8192 default.
-void arm_trace(const std::string& path, uint32_t ring_capacity = 0);
+// Arm tracing with an output path (the path dump_trace() writes to).
+void arm_trace(const std::string& path);
 void disarm_trace();
 
 // Dump every thread's ring as Chrome trace-event JSON ("traceEvents"

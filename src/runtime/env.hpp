@@ -1,4 +1,5 @@
-// Environment-variable helpers for benchmark configuration overrides.
+// Environment-variable helpers. The library reads one knob, POPSMR_AUDIT
+// (src/smr/audit.cpp); every bench knob is a flag (bench/cli.hpp).
 #pragma once
 
 #include <cstdint>

@@ -14,8 +14,9 @@ namespace detail {
 std::atomic<int> g_state{0};
 thread_local uint32_t tl_bracket_depth = 0;
 
-// 0 = uninitialized (consult POPSMR_AUDIT_MODE), 1 = warn, 2 = abort.
-std::atomic<int> g_abort{0};
+// Abort by default: a test suite wants the corpse at the violation
+// site, not a corrupted run. set_abort_on_violation(false) warns instead.
+std::atomic<bool> g_abort{true};
 
 // Per-kind counters plus a warned-once latch for warn mode.
 std::atomic<uint64_t> g_violations[kViolationCount] = {};
@@ -31,24 +32,10 @@ int init_slow() {
   return want;
 }
 
-int abort_init_slow() {
-  // Abort by default: a test suite wants the corpse at the violation
-  // site, not a corrupted run. Benches opt into warn.
-  int want = runtime::env_str("POPSMR_AUDIT_MODE", "abort") == "warn" ? 1 : 2;
-  int expected = 0;
-  if (!g_abort.compare_exchange_strong(expected, want,
-                                       std::memory_order_relaxed)) {
-    want = expected;
-  }
-  return want;
-}
-
 void report(Violation v, const char* scheme, int tid, const void* ptr) {
   const int i = static_cast<int>(v);
   g_violations[i].fetch_add(1, std::memory_order_relaxed);
-  int mode = g_abort.load(std::memory_order_relaxed);
-  if (mode == 0) mode = abort_init_slow();
-  if (mode == 2) {
+  if (g_abort.load(std::memory_order_relaxed)) {
     std::fprintf(stderr,
                  "popsmr-audit: FATAL %s: scheme=%s tid=%d ptr=%p\n",
                  violation_name(v), scheme, tid, ptr);
@@ -75,19 +62,15 @@ const char* violation_name(Violation v) {
 }
 
 void set_enabled(bool enabled) {
-  if constexpr (!kCompiled) return;
   detail::g_state.store(enabled ? 2 : 1, std::memory_order_relaxed);
 }
 
 void set_abort_on_violation(bool abort_on_violation) {
-  detail::g_abort.store(abort_on_violation ? 2 : 1,
-                        std::memory_order_relaxed);
+  detail::g_abort.store(abort_on_violation, std::memory_order_relaxed);
 }
 
 bool abort_on_violation() {
-  int mode = detail::g_abort.load(std::memory_order_relaxed);
-  if (mode == 0) mode = detail::abort_init_slow();
-  return mode == 2;
+  return detail::g_abort.load(std::memory_order_relaxed);
 }
 
 uint64_t violations() {
@@ -109,7 +92,6 @@ void reset() {
 }
 
 void check_detach(const char* scheme, int tid) {
-  if constexpr (!kCompiled) return;
   if (!on()) return;
   if (detail::tl_bracket_depth != 0) {
     detail::report(Violation::kUnbalancedBracket, scheme, tid, nullptr);

@@ -28,15 +28,12 @@
 // per-scheme code.
 //
 // Gating mirrors src/obs: off by default, one relaxed load + a predictable
-// branch per hook when off (tests/smr/test_audit.cpp pins the disabled
-// path under the same <2% bound as the obs layer). Enable with
+// branch per hook when off (tests/obs/test_obs_overhead.cpp pins the
+// disabled gate under the same <2% bound as the obs hooks). Enable with
 // POPSMR_AUDIT=1 or programmatically with set_enabled(). On violation the
-// report names kind/scheme/tid/pointer on stderr, then aborts
-// (POPSMR_AUDIT_MODE=abort, the default — tests want a corpse, not a
-// corrupted run) or counts and warns once per kind
-// (POPSMR_AUDIT_MODE=warn — benches want the row, not the corpse).
-// Compiling with -DPOPSMR_AUDIT_DISABLE turns every hook into a true
-// no-op.
+// report names kind/scheme/tid/pointer on stderr, then aborts (the
+// default: a test wants a corpse, not a corrupted run) or, after
+// set_abort_on_violation(false), counts and warns once per kind.
 #pragma once
 
 #include <atomic>
@@ -45,12 +42,6 @@
 #include <unordered_set>
 
 namespace pop::smr::audit {
-
-#ifdef POPSMR_AUDIT_DISABLE
-inline constexpr bool kCompiled = false;
-#else
-inline constexpr bool kCompiled = true;
-#endif
 
 enum class Violation : int {
   kDoubleRetire = 0,
@@ -76,13 +67,12 @@ void report(Violation v, const char* scheme, int tid, const void* ptr);
 // One relaxed load + branch once initialized — the only cost every
 // retire/sweep/detach pays when auditing is off.
 inline bool on() {
-  if constexpr (!kCompiled) return false;
   int s = detail::g_state.load(std::memory_order_relaxed);
   if (s == 0) s = detail::init_slow();
   return s == 2;
 }
 
-// Programmatic switches (tests; the env knobs cover deployments).
+// Programmatic switches (tests; POPSMR_AUDIT=1 covers whole runs).
 // Quiescent-only: flipping mid-operation desynchronizes bracket depths.
 void set_enabled(bool enabled);
 void set_abort_on_violation(bool abort_on_violation);
@@ -96,19 +86,16 @@ void reset();  // quiescent-only (tests)
 // ---- bracket tracking ------------------------------------------------------
 
 inline void bracket_enter() {
-  if constexpr (!kCompiled) return;
   if (on()) ++detail::tl_bracket_depth;
 }
 
 inline void bracket_exit() {
-  if constexpr (!kCompiled) return;
   // The depth guard makes a mid-bracket enable (enter unseen, exit seen)
   // degrade to a missed check instead of an underflowed counter.
   if (on() && detail::tl_bracket_depth > 0) --detail::tl_bracket_depth;
 }
 
 inline uint32_t bracket_depth() {
-  if constexpr (!kCompiled) return 0;
   return detail::tl_bracket_depth;
 }
 

@@ -61,11 +61,16 @@ class NbrDomain {
     const int tid = runtime::my_tid();
     pub_.engine().arm_restart(tid, nullptr);
     pub_.clear(tid);
-    // Run any reclamation that was deferred because the threshold was
-    // crossed during a read phase.
-    if (pt_[tid]->reclaim_deferred) {
-      pt_[tid]->reclaim_deferred = false;
+    // Run any reclamation that was deferred because the threshold (or
+    // the pressure backstop) was crossed during a read phase.
+    auto& pt = *pt_[tid];
+    if (pt.reclaim_deferred) {
+      pt.reclaim_deferred = false;
       reclaim(tid);
+      if (pt.pressure_forced) {
+        pt.pressure_forced = false;
+        core_.pressure_relieved_or_warn(tid);
+      }
     }
   }
 
@@ -153,7 +158,9 @@ class NbrDomain {
         reclaim(tid);
         core_.pressure_relieved_or_warn(tid);
       } else {
+        // Mark the deferred pass forced so end_op books it.
         pt_[tid]->reclaim_deferred = true;
+        pt_[tid]->pressure_forced = true;
       }
     }
   }
@@ -172,6 +179,7 @@ class NbrDomain {
   struct PerThread {
     sigjmp_buf env;
     bool reclaim_deferred = false;  // owner-thread only
+    bool pressure_forced = false;   // owner-thread only
   };
 
   DomainCore core_;

@@ -149,17 +149,6 @@ struct FaultSpec {
   bool respawn = true;  // spawn a fresh worker into the killed slot
 };
 
-// Observability toggles, OR-ed with the process-wide env/CLI channels
-// (POPSMR_OBS_LATENCY / POPSMR_OBS_HW): a spec can force latency
-// recording or per-phase hardware counters for one run without touching
-// the environment. Tracing is armed process-wide (POPSMR_TRACE /
-// obs::arm_trace) and needs no spec field — the engine only marks run
-// boundaries in the trace when a ring is armed.
-struct ObsSpec {
-  bool latency = false;
-  bool hw = false;
-};
-
 struct ScenarioSpec {
   std::string name = "custom";
   std::string ds = "HML";
@@ -190,7 +179,6 @@ struct ScenarioSpec {
   FaultSpec faults;
   // Background sampler cadence; 0 disables the timeline.
   uint64_t mem_sample_every_ms = 0;
-  ObsSpec obs;
 };
 
 // Keys prefilled before phase 0: `prefill`, or half the key range for the
@@ -290,8 +278,8 @@ struct ScenarioResult : OpCounts {
   // Observability roll-up (tentpole PR 8). `latency` has one entry per
   // op/reclamation kind that recorded at least one sample ("get", "put",
   // "insert", "remove", "ping_wave", "sweep", "reap"); `latency_all`
-  // merges the point ops. Empty / zero when the latency channel was off
-  // (obs_latency_on says which). `hw` is the whole-run counter roll-up.
+  // merges the point ops. Empty / zero when the latency channel was off.
+  // `hw` is the whole-run counter roll-up.
   struct OpLatency {
     std::string op;
     obs::LatencySummary lat;
@@ -299,8 +287,6 @@ struct ScenarioResult : OpCounts {
   std::vector<OpLatency> latency;
   obs::LatencySummary latency_all;
   obs::HwSample hw;
-  bool obs_latency_on = false;
-  bool obs_hw_on = false;
   // Contract-sanitizer roll-up: violations reported by smr::audit during
   // this run (delta, not process-lifetime total). Always 0 in a green
   // run; audit_on records whether the sanitizer was armed at all, so a 0

@@ -203,14 +203,11 @@ ScenarioResult run_scenario(const ScenarioSpec& spec_in) {
   for (const auto& p : spec.phases) any_rw |= p.read_your_writes;
 
   // ---- observability channels ---------------------------------------------
-  // Spec toggles OR with the process-wide env/CLI channels. Forcing the
-  // global latency flag on for the run (restored at the end) lets the
-  // reclamation-side hooks in DomainCore/PopEngine see the same switch
-  // the worker loop branches on.
-  const bool lat_prev = obs::latency_on();
-  const bool lat_on = obs::kEnabled && (spec.obs.latency || lat_prev);
-  if (lat_on && !lat_prev) obs::set_latency(true);
-  const bool hw_en = obs::kEnabled && (spec.obs.hw || obs::hw_on());
+  // Read once per run from the process-wide switches (obs::set_latency /
+  // obs::set_hw, which the bench flags call), so the worker loop
+  // branches on a local.
+  const bool lat_on = obs::latency_on();
+  const bool hw_en = obs::hw_on();
   // Per-(slot, phase) hardware-counter cells: perf_event_open binds to
   // the calling thread, so each worker opens its own counters and flushes
   // a delta into its cell at every phase transition and on every exit
@@ -678,9 +675,7 @@ ScenarioResult run_scenario(const ScenarioSpec& spec_in) {
     }
     res.accumulate(pr);
   }
-  res.obs_hw_on = hw_en;
   if (lat_on) {
-    res.obs_latency_on = true;
     obs::HistoSnapshot all_points;
     for (int k = 0; k < obs::kLatOpCount; ++k) {
       obs::HistoSnapshot d = lat_run_end[k].diff(lat_run_start[k]);
@@ -691,7 +686,6 @@ ScenarioResult run_scenario(const ScenarioSpec& spec_in) {
       }
     }
     res.latency_all = obs::summarize(all_points);
-    if (!lat_prev) obs::set_latency(false);  // restore the global switch
   }
   res.seconds = std::chrono::duration<double>(t_end - t0).count();
   if (res.seconds > 0) {

@@ -4,11 +4,13 @@
 // bounds, signal counts), plus the bench flag parser.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "../../bench/cli.hpp"
 #include "ds/iset.hpp"
+#include "obs/obs.hpp"
 #include "workload/scenario_engine.hpp"
 
 namespace pop::workload {
@@ -164,6 +166,37 @@ TEST(BenchOptions, AbsentListsKeepTheSweepDefaults) {
   const auto explicit_default = make_sweep("fig2", SweepAxes{});
   ASSERT_TRUE(by_default && explicit_default);
   EXPECT_EQ(by_default->cells.size(), explicit_default->cells.size());
+}
+
+// The bench flags are the only switches of the three observability
+// channels: each flag turns its channel on, and a run without them
+// leaves all three off.
+TEST(BenchOptions, ObservabilityFlagsSwitchTheirChannels) {
+  obs::set_latency(false);
+  obs::set_hw(false);
+  obs::disarm_trace();
+
+  const auto plain = parse({"--threads", "2"});
+  EXPECT_FALSE(plain.latency);
+  EXPECT_FALSE(obs::latency_on());
+  EXPECT_FALSE(obs::hw_on());
+  EXPECT_FALSE(obs::trace_on());
+
+  const std::string trace = ::testing::TempDir() + "bench_cli_flags.json";
+  const auto o =
+      parse({"--latency", "--hw-counters", "--trace", trace});
+  EXPECT_TRUE(o.latency);
+  EXPECT_TRUE(o.hw_counters);
+  EXPECT_EQ(o.trace, trace);
+  EXPECT_TRUE(obs::latency_on());
+  EXPECT_TRUE(obs::hw_on());
+  EXPECT_TRUE(obs::trace_on());
+
+  // Restore: channels off, and nothing armed for the exit-time dump.
+  obs::set_latency(false);
+  obs::set_hw(false);
+  obs::disarm_trace();
+  std::remove(trace.c_str());
 }
 
 TEST(BenchOptionsDeathTest, MalformedValuesExitTwo) {

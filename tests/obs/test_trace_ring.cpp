@@ -98,7 +98,7 @@ TEST(TraceRing, ConcurrentCollectNeverSeesTornEvents) {
 TEST(TraceDump, ChromeTraceJsonShape) {
   const std::string path =
       ::testing::TempDir() + "trace_ring_dump_test.json";
-  arm_trace(path, /*ring_capacity=*/64);
+  arm_trace(path);
   ASSERT_TRUE(trace_on());
 
   const uint64_t t0 = now_ns();

@@ -64,7 +64,6 @@ void seed_double_retire() {
 }
 
 TEST(AuditSeededDeath, DoubleRetireAbortsWithSchemeTag) {
-  if (!audit::kCompiled) GTEST_SKIP() << "audit compiled out";
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(seed_double_retire<EbrDomain>(), "double_retire.*EBR");
   EXPECT_DEATH(seed_double_retire<core::EpochPopDomain>(),
@@ -82,7 +81,6 @@ void seed_retire_outside_bracket() {
 }
 
 TEST(AuditSeeded, RetireOutsideBracketCountsPerScheme) {
-  if (!audit::kCompiled) GTEST_SKIP() << "audit compiled out";
   audit_warn_mode();
   seed_retire_outside_bracket<EbrDomain>();
   EXPECT_EQ(audit::violations(audit::Violation::kRetireOutsideOp), 1u);
@@ -112,7 +110,6 @@ void seed_unbalanced_batch(const std::string& smr_name) {
 }
 
 TEST(AuditSeeded, UnbalancedBatchBracketAtDetach) {
-  if (!audit::kCompiled) GTEST_SKIP() << "audit compiled out";
   audit_warn_mode();
   uint64_t expected = 0;
   for (const char* smr_name : {"EBR", "EpochPOP", "HP"}) {
@@ -130,7 +127,6 @@ TEST(AuditSeeded, UnbalancedBatchBracketAtDetach) {
 // both bracket styles (per-op OpGuards and a pipelined batch) must stay
 // completely silent.
 TEST(AuditClean, AllSchemesSilentUnderAudit) {
-  if (!audit::kCompiled) GTEST_SKIP() << "audit compiled out";
   audit_warn_mode();
   for (const auto& smr_name : ds::all_smr_names()) {
     ds::SetConfig cfg;

@@ -144,6 +144,29 @@ TEST(Nbr, ThresholdCrossedInWritePhaseReclaimsInline) {
   d.detach();
 }
 
+// The pressure backstop fires mid read phase, where reclaiming could be
+// cut short by a neutralization longjmp, so the pass waits for end_op.
+// That deferred pass is still a forced pass and must be booked as one,
+// as it is when the backstop fires outside a read phase.
+TEST(Nbr, PressurePassDeferredFromReadPhaseIsBooked) {
+  SmrConfig c;
+  c.retire_threshold = 100000;  // only the backstop can trigger a pass
+  c.pressure_bound = 16;
+  NbrDomain d(c);
+  {
+    NbrDomain::Guard g(d);
+    POPSMR_CHECKPOINT(d);
+    for (int i = 0; i < 64; ++i) d.retire(d.create<TNode>(i));
+    EXPECT_EQ(d.stats().scans, 0u) << "no pass may run in the read phase";
+  }
+  const StatsSnapshot s = d.stats();
+  EXPECT_EQ(s.pressure_events, 2u);  // checked every 32 retires
+  EXPECT_EQ(s.scans, 1u);            // one deferred pass at end_op
+  EXPECT_EQ(s.forced_handshakes, 1u);
+  EXPECT_EQ(s.freed, 64u);
+  d.detach();
+}
+
 TEST(Nbr, AckHandshakeCountsSignals) {
   NbrDomain d(tiny());
   std::atomic<bool> up{false}, release{false};

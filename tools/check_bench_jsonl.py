@@ -2,12 +2,9 @@
 """Validate popsmr benchmark JSONL artifacts (BENCH_*.json).
 
 Every bench binary appends JSON Lines to the path given by its --json
-flag. Two row families exist:
-
-  * kind-tagged rows: "scenario", "phase", "mem_sample", "shard" and
-    "latency" from bench_scenarios (every figure, ablation and sweep
-    preset), "net" and "conn" from bench_loadgen
-  * micro rows ("bench": "...") from the microbenchmarks
+flag. Every row is kind-tagged: "scenario", "phase", "mem_sample",
+"shard" and "latency" from bench_scenarios (every figure, ablation and
+sweep preset), "net" and "conn" from bench_loadgen.
 
 CI's smoke jobs run this gate over their artifacts so a malformed or —
 the historical failure mode — silently *empty* artifact fails the job
@@ -17,7 +14,7 @@ instead of uploading garbage. Usage:
       [--min-rows 1] [--summary]
 
 Exits 0 iff every named file exists, is non-empty, every line parses as
-a JSON object matching its family's schema, and every --require-kind
+a JSON object matching its kind's schema, and every --require-kind
 appears at least once across all files.
 """
 
@@ -45,8 +42,7 @@ PER_OP = {
     "puts": int, "put_replaced": int, "rw_violations": int,
 }
 
-# Every row (tagged and micro alike) is stamped with the
-# process-wide run id and a wall-clock ms timestamp so concatenated
+# Every row is stamped with the process-wide run id and a wall-clock ms timestamp so concatenated
 # multi-run artifacts stay disambiguable.
 STAMP = {"run_id": int, "ts": int}
 
@@ -161,9 +157,6 @@ OPTIONAL = {
 }
 ZERO_REQUIRED = {"audit_violations"}
 
-# The one untagged family, identified by its "bench" field.
-MICRO_REQUIRED = {**STAMP, "bench": str, "threads": int}
-
 
 def check_fields(row, schema, where, errors):
     for field, ftype in schema.items():
@@ -189,36 +182,33 @@ def check_row(row, where, errors, kind_counts):
     if not isinstance(row, dict):
         errors.append(f"{where}: not a JSON object")
         return
-    if "kind" in row:
-        kind = row["kind"]
-        if kind not in SCHEMAS:
-            errors.append(f"{where}: unknown kind '{kind}'")
-            return
-        kind_counts[kind] = kind_counts.get(kind, 0) + 1
-        check_fields(row, SCHEMAS[kind], f"{where} [{kind}]", errors)
-        for field, ftype in OPTIONAL.get(kind, {}).items():
-            if field not in row:
-                continue
-            v = row[field]
-            if isinstance(v, bool) or not isinstance(v, ftype):
-                errors.append(
-                    f"{where} [{kind}]: field '{field}' has type "
-                    f"{type(v).__name__}, expected {ftype}")
-            elif field in ZERO_REQUIRED and v != 0:
-                errors.append(
-                    f"{where} [{kind}]: field '{field}' must be 0 in a "
-                    f"green artifact, got {v}")
-        for field in POSITIVE & SCHEMAS[kind].keys():
-            v = row.get(field)
-            if isinstance(v, int) and not isinstance(v, bool) and v <= 0:
-                errors.append(
-                    f"{where} [{kind}]: field '{field}' must be >= 1, "
-                    f"got {v}")
-    elif "bench" in row:
-        kind_counts["micro"] = kind_counts.get("micro", 0) + 1
-        check_fields(row, MICRO_REQUIRED, f"{where} [micro]", errors)
-    else:
-        errors.append(f"{where}: row has neither a kind nor a bench tag")
+    if "kind" not in row:
+        errors.append(f"{where}: row has no kind tag")
+        return
+    kind = row["kind"]
+    if kind not in SCHEMAS:
+        errors.append(f"{where}: unknown kind '{kind}'")
+        return
+    kind_counts[kind] = kind_counts.get(kind, 0) + 1
+    check_fields(row, SCHEMAS[kind], f"{where} [{kind}]", errors)
+    for field, ftype in OPTIONAL.get(kind, {}).items():
+        if field not in row:
+            continue
+        v = row[field]
+        if isinstance(v, bool) or not isinstance(v, ftype):
+            errors.append(
+                f"{where} [{kind}]: field '{field}' has type "
+                f"{type(v).__name__}, expected {ftype}")
+        elif field in ZERO_REQUIRED and v != 0:
+            errors.append(
+                f"{where} [{kind}]: field '{field}' must be 0 in a "
+                f"green artifact, got {v}")
+    for field in POSITIVE & SCHEMAS[kind].keys():
+        v = row.get(field)
+        if isinstance(v, int) and not isinstance(v, bool) and v <= 0:
+            errors.append(
+                f"{where} [{kind}]: field '{field}' must be >= 1, "
+                f"got {v}")
 
 
 def self_test():
@@ -382,7 +372,7 @@ def main():
                     metavar="KIND",
                     help="fail unless at least one row of KIND exists "
                          "(scenario, phase, mem_sample, shard, latency, "
-                         "net, conn, micro); repeatable")
+                         "net, conn); repeatable")
     ap.add_argument("--min-rows", type=int, default=1, metavar="N",
                     help="fail any file with fewer than N rows (default 1: "
                          "an empty artifact is a failure, not a pass)")
